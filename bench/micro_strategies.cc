@@ -81,6 +81,20 @@ void BM_EstimateUpdatedProbs(benchmark::State& state) {
 }
 BENCHMARK(BM_EstimateUpdatedProbs);
 
+// The whole Approx-MEU scoring kernel: every candidate of the 1000x38 dense
+// snapshot, serial, as one SelectBatch scores them.
+void BM_ApproxMeuScoreCandidates(benchmark::State& state) {
+  Fixture fixture(1000);
+  const std::vector<ItemId> candidates = CandidateItems(fixture.ctx);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ApproxMeuStrategy::ScoreCandidates(
+        fixture.ctx, candidates, /*impact_filter=*/nullptr));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(candidates.size()));
+}
+BENCHMARK(BM_ApproxMeuScoreCandidates)->Unit(benchmark::kMillisecond);
+
 void BM_CollectNeighbors(benchmark::State& state) {
   Fixture fixture(2000);
   std::vector<ItemId> scratch;

@@ -341,6 +341,17 @@ int WriteBenchJson(const std::string& path, ScaleMode mode) {
         .Set("oracle_retry_retries",
              static_cast<std::size_t>(phases.Value("oracle.retry.retries")));
 
+    // The Table 11 row itself: seconds per action of every strategy, as the
+    // text table measures them (MEU is the delta-path step above).
+    const double approx_s = MeanSelectSeconds(dataset, "approx_meu", 5);
+    json.Add("table11_actions")
+        .Set("dataset", dataset.name)
+        .Set("qbc_seconds", MeanSelectSeconds(dataset, "qbc", 5))
+        .Set("us_seconds", MeanSelectSeconds(dataset, "us", 5))
+        .Set("meu_seconds", meu_delta_s)
+        .Set("approx_meu_seconds", approx_s)
+        .Set("approx_meu_faster_than_meu", approx_s < meu_delta_s);
+
     // Thread sweep over the pruned work-stealing scan. The selected
     // sequence must be identical at every lane count (the pool's
     // determinism contract); CI diffs the 1-thread and 2-thread strings and
@@ -375,6 +386,18 @@ int WriteBenchJson(const std::string& path, ScaleMode mode) {
                    : 0.0);
     }
   }
+  // The large dense shape, where MEU cannot run (§5.1): the hybrid
+  // Approx-MEU_k at the paper's two k.
+  const NamedDataset flights = MakeFlightsLike(mode);
+  json.Add("table11_actions")
+      .Set("dataset", flights.name)
+      .Set("qbc_seconds", MeanSelectSeconds(flights, "qbc", 3))
+      .Set("us_seconds", MeanSelectSeconds(flights, "us", 3))
+      .Set("approx_meu_k5_seconds",
+           MeanSelectSeconds(flights, "approx_meu_k:5", 3))
+      .Set("approx_meu_k10_seconds",
+           MeanSelectSeconds(flights, "approx_meu_k:10", 3));
+
   json.Add("meu_speedup")
       .Set("total_baseline_seconds", total_baseline_s)
       .Set("total_full_seconds", total_full_s)

@@ -21,7 +21,15 @@
 //
 // The expected entropy after validating o_i (Eq. 13) is then computed over
 // the *estimated* probabilities, and the item with the maximum expected
-// entropy reduction is selected. Requires ctx.graph.
+// entropy reduction is selected.
+//
+// ScoreCandidates is a source-centric scatter (DESIGN.md §5j): per call it
+// builds flat tables (item entropies, an eligible-neighbour byte, phi(s) =
+// 1/(A(1-A))); per candidate it walks each voting source's vote list once,
+// adding the Eq. 9 terms into a per-lane [claim][hypothesis] scratch, then
+// evaluates Eq. 10 and the entropy in place. It needs no ctx.graph, and its
+// gains are bit-identical to the per-neighbour formulation. Only the
+// per-item reference path, ExpectedEntropyAfterValidation, reads ctx.graph.
 #ifndef VERITAS_CORE_APPROX_MEU_H_
 #define VERITAS_CORE_APPROX_MEU_H_
 
@@ -76,19 +84,23 @@ class ApproxMeuStrategy : public Strategy {
   /// Expected total entropy after validating `item`, under the differential
   /// estimate (the EU* of Table 9). When `impact_filter` is non-null, only
   /// neighbour items j with (*impact_filter)[j] participate in the impact
-  /// computation (used by Approx-MEU_k, §4.3).
+  /// computation (used by Approx-MEU_k, §4.3). The per-item reference path:
+  /// requires ctx.graph.
   static double ExpectedEntropyAfterValidation(
       const StrategyContext& ctx, ItemId item,
       const std::vector<bool>* impact_filter);
 
   /// Scores Delta-EU (Eq. 13 gain) for each candidate; shared with the
-  /// hybrid strategy. With a non-null `pool` (and enough candidates), the
-  /// scan fans out over its lanes; gains land in disjoint slots so the
-  /// result is lane-count independent. A non-null `confine` restricts each
-  /// candidate's neighbour impact to the candidate's own shard of the
-  /// partition — the sharded stage-1 semantics — which lets one pooled pass
-  /// score candidates of *different* shards concurrently (confinement is a
-  /// pure per-(i, j) predicate, so no cross-shard state is shared).
+  /// hybrid strategy. Does not read ctx.graph. With a non-null `pool` (and
+  /// enough candidates), the scan fans out over its lanes, each with its own
+  /// scratch; gains land in disjoint slots so the result is lane-count
+  /// independent. Adds the (candidate, hypothesis, neighbour) estimates it
+  /// evaluates to `strategy.approx_meu.neighbor_updates`, once per call.
+  /// A non-null `confine` restricts each candidate's neighbour impact to
+  /// the candidate's own shard of the partition — the sharded stage-1
+  /// semantics — which lets one pooled pass score candidates of *different*
+  /// shards concurrently (confinement is a pure per-(i, j) predicate, so no
+  /// cross-shard state is shared).
   static std::vector<double> ScoreCandidates(
       const StrategyContext& ctx, const std::vector<ItemId>& candidates,
       const std::vector<bool>* impact_filter, ThreadPool* pool = nullptr,

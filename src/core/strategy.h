@@ -31,7 +31,9 @@ struct StrategyContext {
   const FusionModel* model = nullptr;    ///< For lookahead (MEU, GUB).
   const FusionOptions* fusion_opts = nullptr;
   const GroundTruth* ground_truth = nullptr;  ///< Only for GUB.
-  const ItemGraph* graph = nullptr;           ///< For Approx-MEU.
+  /// For Approx-MEU's per-item reference path
+  /// (ApproxMeuStrategy::ExpectedEntropyAfterValidation).
+  const ItemGraph* graph = nullptr;
   Rng* rng = nullptr;                         ///< For Random.
   /// Items the session could not validate (oracle permanently failed or the
   /// user marked them unanswerable); excluded from the action space like

@@ -1,16 +1,23 @@
 // Tests of Approx-MEU (§4.2.3, Appendix A): the Eq. (9) accuracy deltas, the
 // Eq. (10) differential estimates (closed form vs literal), the one-hop
-// truncation, and the strategy itself.
+// truncation, the strategy itself, and the scatter kernel behind
+// ScoreCandidates against the per-neighbour reference scan.
 #include "core/approx_meu.h"
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "approx_meu_reference.h"
 #include "core/meu.h"
 #include "data/example_data.h"
 #include "data/synthetic.h"
 #include "fusion/accu.h"
+#include "model/compiled_database.h"
+#include "model/shard_partition.h"
+#include "obs/metrics.h"
 
 namespace veritas {
 namespace {
@@ -236,6 +243,171 @@ TEST_F(ApproxMeuTest, TheoremDecayOneHopSmallerThanValidated) {
 
 TEST_F(ApproxMeuTest, Name) {
   EXPECT_EQ(ApproxMeuStrategy().name(), "approx_meu");
+}
+
+TEST_F(ApproxMeuTest, CountsNeighborUpdatesOncePerCall) {
+  // strategy.approx_meu.neighbor_updates counts the (candidate, hypothesis,
+  // neighbour) estimates: hypotheses with p_t > 0 times the unpinned
+  // multi-claim one-hop neighbours.
+  Counter* counter = MetricsRegistry::Global().GetCounter(
+      "strategy.approx_meu.neighbor_updates");
+  const std::vector<ItemId> candidates = {0, 1, 2, 3, 4, 5};
+  std::uint64_t expected = 0;
+  std::vector<ItemId> neighbors;
+  for (const ItemId i : candidates) {
+    std::uint64_t hypotheses = 0;
+    for (ClaimIndex t = 0; t < db_.num_claims(i); ++t) {
+      if (fusion_.prob(i, t) > 0.0) ++hypotheses;
+    }
+    graph_.CollectNeighbors(i, &neighbors);
+    std::uint64_t eligible = 0;
+    for (const ItemId j : neighbors) {
+      if (!priors_.Has(j) && db_.num_claims(j) > 1) ++eligible;
+    }
+    expected += hypotheses * eligible;
+  }
+  ASSERT_GT(expected, 0u);
+  const std::uint64_t before = counter->value();
+  ApproxMeuStrategy::ScoreCandidates(ctx_, candidates, nullptr);
+  EXPECT_EQ(counter->value() - before, expected);
+}
+
+// ---------- Scatter kernel vs. the per-neighbour reference scan ----------
+
+// A synthetic snapshot fused by Accu, with `pins` conflicting items
+// validated, and a strategy context over it.
+struct ScatterCase {
+  explicit ScatterCase(SyntheticDataset dataset, std::size_t pins = 0)
+      : data(std::move(dataset)), graph(data.db), compiled(data.db) {
+    const std::vector<ItemId> conflicting = data.db.ConflictingItems();
+    for (std::size_t k = 0; k < pins; ++k) {
+      const ItemId item = conflicting[k * conflicting.size() / pins];
+      EXPECT_TRUE(priors.SetExact(data.db, item, 0).ok());
+    }
+    fusion = model.Fuse(data.db, priors, opts);
+    ctx.db = &data.db;
+    ctx.fusion = &fusion;
+    ctx.priors = &priors;
+    ctx.model = &model;
+    ctx.fusion_opts = &opts;
+    ctx.graph = &graph;
+  }
+
+  SyntheticDataset data;
+  AccuFusion model;
+  FusionOptions opts;
+  PriorSet priors;
+  FusionResult fusion;
+  ItemGraph graph;
+  CompiledDatabase compiled;
+  StrategyContext ctx;
+};
+
+SyntheticDataset Dense(std::size_t items, std::size_t max_false_claims,
+                       std::uint64_t seed) {
+  DenseConfig config;
+  config.num_items = items;
+  config.num_sources = 38;
+  config.density = 0.36;
+  config.copier_fraction = 0.2;
+  config.max_false_claims = max_false_claims;
+  config.seed = seed;
+  return GenerateDense(config);
+}
+
+SyntheticDataset LongTail(std::uint64_t seed) {
+  LongTailConfig config;
+  config.num_items = 600;
+  config.num_sources = 150;
+  config.avg_votes_per_item = 8.0;
+  config.max_false_claims = 2;
+  config.seed = seed;
+  return GenerateLongTail(config);
+}
+
+// Exact double equality, slot by slot.
+void ExpectBitIdentical(const std::vector<double>& actual,
+                        const std::vector<double>& reference) {
+  ASSERT_EQ(actual.size(), reference.size());
+  for (std::size_t k = 0; k < actual.size(); ++k) {
+    EXPECT_EQ(actual[k], reference[k]) << "candidate slot " << k;
+  }
+}
+
+TEST(ApproxMeuScatterTest, DenseTwoClaimsMatchesReference) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    const ScatterCase c(Dense(400, 1, seed));
+    const std::vector<ItemId> candidates = CandidateItems(c.ctx);
+    ASSERT_GT(candidates.size(), 100u);
+    ExpectBitIdentical(
+        ApproxMeuStrategy::ScoreCandidates(c.ctx, candidates, nullptr),
+        ReferenceScores(c.ctx, candidates, nullptr));
+  }
+}
+
+TEST(ApproxMeuScatterTest, DenseManyFalseClaimsMatchesReference) {
+  const ScatterCase c(Dense(300, 4, 5));
+  const std::vector<ItemId> candidates = CandidateItems(c.ctx);
+  ExpectBitIdentical(
+      ApproxMeuStrategy::ScoreCandidates(c.ctx, candidates, nullptr),
+      ReferenceScores(c.ctx, candidates, nullptr));
+}
+
+TEST(ApproxMeuScatterTest, LongTailMatchesReference) {
+  const ScatterCase c(LongTail(11));
+  const std::vector<ItemId> candidates = CandidateItems(c.ctx);
+  ASSERT_FALSE(candidates.empty());
+  ExpectBitIdentical(
+      ApproxMeuStrategy::ScoreCandidates(c.ctx, candidates, nullptr),
+      ReferenceScores(c.ctx, candidates, nullptr));
+}
+
+TEST(ApproxMeuScatterTest, PinnedNeighborsMatchReference) {
+  const ScatterCase c(Dense(300, 2, 7), /*pins=*/25);
+  ASSERT_EQ(c.priors.size(), 25u);
+  const std::vector<ItemId> candidates = CandidateItems(c.ctx);
+  ExpectBitIdentical(
+      ApproxMeuStrategy::ScoreCandidates(c.ctx, candidates, nullptr),
+      ReferenceScores(c.ctx, candidates, nullptr));
+}
+
+TEST(ApproxMeuScatterTest, ImpactFilterMatchesReference) {
+  // The hybrid strategy's use: candidates and impact set are one subset.
+  const ScatterCase c(Dense(300, 1, 9), /*pins=*/5);
+  std::vector<bool> filter(c.data.db.num_items(), false);
+  std::vector<ItemId> candidates;
+  for (const ItemId i : CandidateItems(c.ctx)) {
+    if (i % 3 == 0) continue;
+    filter[i] = true;
+    candidates.push_back(i);
+  }
+  ExpectBitIdentical(
+      ApproxMeuStrategy::ScoreCandidates(c.ctx, candidates, &filter),
+      ReferenceScores(c.ctx, candidates, &filter));
+}
+
+TEST(ApproxMeuScatterTest, ShardConfinementMatchesReference) {
+  const ScatterCase c(LongTail(13), /*pins=*/10);
+  const std::vector<ItemId> candidates = CandidateItems(c.ctx);
+  for (const std::size_t shards : {2u, 4u, 7u}) {
+    SCOPED_TRACE(shards);
+    const ShardPartition partition(c.compiled, shards);
+    ExpectBitIdentical(
+        ApproxMeuStrategy::ScoreCandidates(c.ctx, candidates, nullptr,
+                                           /*pool=*/nullptr, &partition),
+        ReferenceScores(c.ctx, candidates, nullptr, &partition));
+  }
+}
+
+TEST(ApproxMeuScatterTest, NeedsNoItemGraph) {
+  const ScatterCase c(Dense(200, 1, 4));
+  StrategyContext no_graph = c.ctx;
+  no_graph.graph = nullptr;
+  const std::vector<ItemId> candidates = CandidateItems(c.ctx);
+  ExpectBitIdentical(
+      ApproxMeuStrategy::ScoreCandidates(no_graph, candidates, nullptr),
+      ReferenceScores(c.ctx, candidates, nullptr));
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 // in-flight round and resumes from the previous checkpoint instead.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
 #include "core/qbc.h"
@@ -14,20 +13,11 @@
 #include "data/example_data.h"
 #include "data/synthetic.h"
 #include "fusion/accu.h"
+#include "test_tmpdir.h"
 #include "util/cancellation.h"
 
 namespace veritas {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
-void RemoveChain(const std::string& path) {
-  std::remove(path.c_str());
-  std::remove((path + ".1").c_str());
-  std::remove((path + ".2").c_str());
-}
 
 // Timing fields excluded: they are the only fields a resume legitimately
 // changes.
@@ -127,8 +117,7 @@ TEST_F(CancellationSessionTest, ExpiredDeadlineStopsBeforeTheFirstRound) {
 
 TEST_F(CancellationSessionTest,
        ExpiredDeadlineStillWritesAResumableCheckpoint) {
-  const std::string path = TempPath("veritas_cancel_deadline_ckpt.txt");
-  RemoveChain(path);
+  const std::string path = TestTmpPath("veritas_cancel_deadline_ckpt.txt");
   QbcStrategy strategy;
   PerfectOracle oracle;
   SessionOptions options;
@@ -146,7 +135,6 @@ TEST_F(CancellationSessionTest,
   const auto cp = LoadSessionCheckpoint(path, data_.db);
   ASSERT_TRUE(cp.ok()) << cp.status();
   EXPECT_EQ(cp->num_validated, 0u);
-  RemoveChain(path);
 }
 
 // The acceptance scenario. Run A: uninterrupted. Run B: same seeds, token
@@ -170,8 +158,7 @@ TEST_F(CancellationSessionTest, GracefulCancelResumesBitExactly) {
   }
   ASSERT_GT(trace_a.steps.size(), 7u);  // The cancel point must be mid-run.
 
-  const std::string path = TempPath("veritas_cancel_graceful_ckpt.txt");
-  RemoveChain(path);
+  const std::string path = TestTmpPath("veritas_cancel_graceful_ckpt.txt");
 
   {
     QbcStrategy strategy;
@@ -212,7 +199,6 @@ TEST_F(CancellationSessionTest, GracefulCancelResumesBitExactly) {
   }
 
   ExpectTracesIdentical(trace_a, trace_c);
-  RemoveChain(path);
 }
 
 // A hard stop discards the round in flight: the checkpoint stays at the
@@ -234,8 +220,7 @@ TEST_F(CancellationSessionTest, HardCancelDiscardsTheRoundAndStillResumes) {
     trace_a = *trace;
   }
 
-  const std::string path = TempPath("veritas_cancel_hard_ckpt.txt");
-  RemoveChain(path);
+  const std::string path = TestTmpPath("veritas_cancel_hard_ckpt.txt");
 
   {
     QbcStrategy strategy;
@@ -277,7 +262,6 @@ TEST_F(CancellationSessionTest, HardCancelDiscardsTheRoundAndStillResumes) {
   }
 
   ExpectTracesIdentical(trace_a, trace_c);
-  RemoveChain(path);
 }
 
 TEST_F(CancellationSessionTest, InterruptedRunWithoutCheckpointSaysSo) {

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <string>
 
@@ -16,13 +15,10 @@
 #include "data/example_data.h"
 #include "data/synthetic.h"
 #include "fusion/accu.h"
+#include "test_tmpdir.h"
 
 namespace veritas {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 // Bit-exact trace comparison, excluding wall-clock timing fields (the only
 // fields a resume legitimately changes).
@@ -88,7 +84,7 @@ TEST_F(CheckpointTest, SaveLoadRoundTripsEveryField) {
   cp.rng_state = "12345 67890";
   cp.oracle_state = "0 |";
 
-  const std::string path = TempPath("veritas_ckpt_roundtrip.txt");
+  const std::string path = TestTmpPath("veritas_ckpt_roundtrip.txt");
   ASSERT_TRUE(SaveSessionCheckpoint(cp, path).ok());
   const auto loaded = LoadSessionCheckpoint(path, db_);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -114,18 +110,17 @@ TEST_F(CheckpointTest, SaveLoadRoundTripsEveryField) {
   EXPECT_TRUE(loaded->fusion.converged());
   EXPECT_EQ(loaded->rng_state, cp.rng_state);
   EXPECT_EQ(loaded->oracle_state, cp.oracle_state);
-  std::remove(path.c_str());
 }
 
 TEST_F(CheckpointTest, MissingFileIsNotFound) {
   const auto loaded =
-      LoadSessionCheckpoint(TempPath("veritas_ckpt_nope.txt"), db_);
+      LoadSessionCheckpoint(TestTmpPath("veritas_ckpt_nope.txt"), db_);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(CheckpointTest, CorruptFileIsInvalidArgument) {
-  const std::string path = TempPath("veritas_ckpt_corrupt.txt");
+  const std::string path = TestTmpPath("veritas_ckpt_corrupt.txt");
   {
     std::ofstream out(path);
     out << "not a checkpoint at all\n";
@@ -133,11 +128,10 @@ TEST_F(CheckpointTest, CorruptFileIsInvalidArgument) {
   const auto loaded = LoadSessionCheckpoint(path, db_);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
 }
 
 TEST_F(CheckpointTest, FutureVersionIsRejected) {
-  const std::string path = TempPath("veritas_ckpt_future.txt");
+  const std::string path = TestTmpPath("veritas_ckpt_future.txt");
   {
     std::ofstream out(path);
     out << "veritas-checkpoint 999\nend\n";
@@ -145,12 +139,10 @@ TEST_F(CheckpointTest, FutureVersionIsRejected) {
   const auto loaded = LoadSessionCheckpoint(path, db_);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
 }
 
 TEST_F(CheckpointTest, SessionWritesCheckpointDuringRun) {
-  const std::string path = TempPath("veritas_ckpt_written.txt");
-  std::remove(path.c_str());
+  const std::string path = TestTmpPath("veritas_ckpt_written.txt");
   QbcStrategy strategy;
   PerfectOracle oracle;
   SessionOptions options;
@@ -163,7 +155,6 @@ TEST_F(CheckpointTest, SessionWritesCheckpointDuringRun) {
   ASSERT_TRUE(cp.ok()) << cp.status();
   EXPECT_EQ(cp->num_validated, 5u);
   EXPECT_EQ(cp->priors.size(), 5u);
-  std::remove(path.c_str());
 }
 
 // The acceptance scenario: run A uninterrupted; run B with the same seeds
@@ -198,8 +189,7 @@ TEST_F(CheckpointTest, ResumeMatchesUninterruptedRun) {
   }
   ASSERT_GT(trace_a.steps.size(), 8u);  // The kill point must be mid-run.
 
-  const std::string path = TempPath("veritas_ckpt_resume.txt");
-  std::remove(path.c_str());
+  const std::string path = TestTmpPath("veritas_ckpt_resume.txt");
 
   // Run B: same seeds, killed after 8 validations, checkpointing as it goes.
   {
@@ -232,14 +222,13 @@ TEST_F(CheckpointTest, ResumeMatchesUninterruptedRun) {
   }
 
   ExpectTracesIdentical(trace_a, trace_c);
-  std::remove(path.c_str());
 }
 
 TEST_F(CheckpointTest, ResumeFromMissingFileIsAFreshStart) {
   QbcStrategy strategy;
   PerfectOracle oracle;
   SessionOptions options;
-  options.resume_path = TempPath("veritas_ckpt_never_written.txt");
+  options.resume_path = TestTmpPath("veritas_ckpt_never_written.txt");
   Rng rng(5);
   FeedbackSession session(db_, model_, &strategy, &oracle, truth_, options,
                           &rng);
@@ -249,8 +238,7 @@ TEST_F(CheckpointTest, ResumeFromMissingFileIsAFreshStart) {
 }
 
 TEST_F(CheckpointTest, ResumeAfterCompletionReplaysTheFinishedTrace) {
-  const std::string path = TempPath("veritas_ckpt_done.txt");
-  std::remove(path.c_str());
+  const std::string path = TestTmpPath("veritas_ckpt_done.txt");
   SessionTrace first;
   {
     QbcStrategy strategy;
@@ -276,11 +264,10 @@ TEST_F(CheckpointTest, ResumeAfterCompletionReplaysTheFinishedTrace) {
     ASSERT_TRUE(trace.ok());
     ExpectTracesIdentical(first, *trace);
   }
-  std::remove(path.c_str());
 }
 
 TEST_F(CheckpointTest, CorruptResumeFileAbortsTheRun) {
-  const std::string path = TempPath("veritas_ckpt_bad_resume.txt");
+  const std::string path = TestTmpPath("veritas_ckpt_bad_resume.txt");
   {
     std::ofstream out(path);
     out << "garbage\n";
@@ -295,7 +282,6 @@ TEST_F(CheckpointTest, CorruptResumeFileAbortsTheRun) {
   const auto trace = session.Run();
   ASSERT_FALSE(trace.ok());
   EXPECT_EQ(trace.status().code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
 }
 
 }  // namespace

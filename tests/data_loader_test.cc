@@ -1,13 +1,13 @@
 // Tests of dataset I/O (CSV observation + truth files).
 #include "data/loader.h"
 
-#include <cstdio>
 #include <fstream>
 
 #include <gtest/gtest.h>
 
 #include "data/example_data.h"
 #include "data/synthetic.h"
+#include "test_tmpdir.h"
 
 namespace veritas {
 namespace {
@@ -15,12 +15,8 @@ namespace {
 class LoaderTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    obs_path_ = ::testing::TempDir() + "/veritas_obs.csv";
-    truth_path_ = ::testing::TempDir() + "/veritas_truth.csv";
-  }
-  void TearDown() override {
-    std::remove(obs_path_.c_str());
-    std::remove(truth_path_.c_str());
+    obs_path_ = TestTmpPath("obs.csv");
+    truth_path_ = TestTmpPath("truth.csv");
   }
 
   void WriteFile(const std::string& path, const std::string& content) {

@@ -346,9 +346,11 @@ TEST(GenerateLongTailTest, Deterministic) {
 }
 
 // Fusion on generated data recovers most truths — a sanity property across
-// generator shapes and seeds.
+// generator shapes and seeds. gtest names each case by the raw bytes of its
+// parameter, so both fields are 8 bytes wide: a padded struct would put
+// uninitialised bytes into the test names and change them between builds.
 struct GenCase {
-  bool dense;
+  std::uint64_t dense;  // nonzero: GenerateDense; zero: GenerateLongTail
   std::uint64_t seed;
 };
 

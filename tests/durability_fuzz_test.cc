@@ -19,6 +19,7 @@
 #include "data/example_data.h"
 #include "fusion/accu.h"
 #include "obs/metrics.h"
+#include "test_tmpdir.h"
 #include "util/csv.h"
 #include "util/rng.h"
 
@@ -75,15 +76,10 @@ std::string Mutate(const std::string& clean, Rng* rng) {
 
 class DurabilityFuzzTest : public ::testing::Test {
  protected:
-  // A dedicated directory per fixture keeps the mutated file free of
+  // A dedicated directory per test keeps the mutated file free of
   // recovery-chain siblings (`*.1`, `*.2`), so every load exercises exactly
   // the corrupted head.
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "/veritas_fuzz";
-    fs::remove_all(dir_);
-    fs::create_directory(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
+  void SetUp() override { dir_ = TestTmpDir(); }
 
   std::string MakeValidCheckpointFile() {
     SessionCheckpoint cp;

@@ -12,6 +12,7 @@
 #include "fusion/accu.h"
 #include "fusion/fusion_factory.h"
 #include "model/database_builder.h"
+#include "test_tmpdir.h"
 #include "util/math.h"
 
 namespace veritas {
@@ -196,10 +197,7 @@ TEST(EdgeCaseTest, BudgetExceedingCandidatesStopsCleanly) {
 
 class HostileFileTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = ::testing::TempDir() + "/veritas_hostile.csv";
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void SetUp() override { path_ = TestTmpPath("hostile.csv"); }
   void WriteFile(const std::string& content) {
     std::ofstream out(path_);
     out << content;

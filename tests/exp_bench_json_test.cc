@@ -3,12 +3,12 @@
 // binary's run from clobbering another's records.
 #include "exp/bench_json.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "gtest/gtest.h"
+#include "test_tmpdir.h"
 
 namespace veritas {
 namespace {
@@ -18,10 +18,6 @@ std::string ReadFile(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
-}
-
-std::string TempPath(const char* name) {
-  return testing::TempDir() + "/" + name;
 }
 
 TEST(BenchJsonParseTest, RoundTripsRenderOutput) {
@@ -52,8 +48,7 @@ TEST(BenchJsonParseTest, RejectsMalformedDocuments) {
 }
 
 TEST(BenchJsonMergeTest, CreatesFileWhenMissing) {
-  const std::string path = TempPath("bench_merge_missing.json");
-  std::remove(path.c_str());
+  const std::string path = TestTmpPath("bench_merge_missing.json");
   BenchJsonFile file("veritas-bench-test-v1");
   file.Add("solo").Set("value", 1.0);
   ASSERT_TRUE(file.MergeInto(path).ok());
@@ -61,7 +56,7 @@ TEST(BenchJsonMergeTest, CreatesFileWhenMissing) {
 }
 
 TEST(BenchJsonMergeTest, UpsertsByNameAndKeyFields) {
-  const std::string path = TempPath("bench_merge_upsert.json");
+  const std::string path = TestTmpPath("bench_merge_upsert.json");
   BenchJsonFile base("veritas-bench-test-v1");
   base.SetMeta("scale", "full");
   base.Add("sweep").Set("dataset", "books").Set("threads",
@@ -101,7 +96,7 @@ TEST(BenchJsonMergeTest, UpsertsByNameAndKeyFields) {
 }
 
 TEST(BenchJsonMergeTest, NameOnlyUpsertReplacesSingleton) {
-  const std::string path = TempPath("bench_merge_name_only.json");
+  const std::string path = TestTmpPath("bench_merge_name_only.json");
   BenchJsonFile base("veritas-bench-test-v1");
   base.Add("ingest").Set("obs_per_second", 100.0);
   base.Add("sweep").Set("threads", static_cast<std::size_t>(1));
@@ -118,7 +113,7 @@ TEST(BenchJsonMergeTest, NameOnlyUpsertReplacesSingleton) {
 }
 
 TEST(BenchJsonMergeTest, ReplacesForeignFileOutright) {
-  const std::string path = TempPath("bench_merge_foreign.json");
+  const std::string path = TestTmpPath("bench_merge_foreign.json");
   {
     std::ofstream out(path, std::ios::binary);
     out << "not json at all";

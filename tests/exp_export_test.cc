@@ -1,13 +1,12 @@
 // Tests of the CSV export of traces, curves and fusion outputs.
 #include "exp/export.h"
 
-#include <cstdio>
-
 #include <gtest/gtest.h>
 
 #include "core/qbc.h"
 #include "data/example_data.h"
 #include "fusion/accu.h"
+#include "test_tmpdir.h"
 #include "util/csv.h"
 
 namespace veritas {
@@ -15,10 +14,7 @@ namespace {
 
 class ExportTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = ::testing::TempDir() + "/veritas_export.csv";
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void SetUp() override { path_ = TestTmpPath("export.csv"); }
 
   SessionTrace MakeTrace() {
     QbcStrategy strategy;

@@ -1,7 +1,6 @@
 // Tests of the experiment harness (curve runner, scale presets, reporting).
 #include "exp/harness.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -13,6 +12,7 @@
 #include "exp/report.h"
 #include "exp/scale.h"
 #include "fusion/accu.h"
+#include "test_tmpdir.h"
 
 namespace veritas {
 namespace {
@@ -221,7 +221,7 @@ TEST(ReportTest, MaybeExportCsvRespectsEnv) {
   table.AddRow({"1", "2"});
   unsetenv("VERITAS_CSV_DIR");
   EXPECT_FALSE(MaybeExportCsv("report_test", table));
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = TestTmpDir();
   setenv("VERITAS_CSV_DIR", dir.c_str(), 1);
   EXPECT_TRUE(MaybeExportCsv("report_test", table));
   unsetenv("VERITAS_CSV_DIR");
@@ -231,8 +231,6 @@ TEST(ReportTest, MaybeExportCsvRespectsEnv) {
   std::string line;
   std::getline(in, line);
   EXPECT_EQ(line, "a,b");
-  in.close();
-  std::remove(path.c_str());
 }
 
 TEST(ReportTest, MaybeExportCsvBadDirectoryFailsGracefully) {

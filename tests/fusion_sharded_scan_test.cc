@@ -1,15 +1,18 @@
 // Tests of the sharded two-stage candidate scan (fusion/sharded_scan.h,
 // DESIGN.md §5h): the coordinator merge, the shards=1 bypass, sharded vs.
 // unsharded selection equality across fusion models, the empty-shard edge
-// case, and thread-count invariance of the sharded scan (this file is part
-// of the concurrency suite, so the latter also runs under TSan).
+// case, thread-count invariance of the sharded scan, and the pooled
+// Approx-MEU scatter kernel against its reference scan (this file is part of
+// the concurrency suite, so the pooled tests also run under TSan).
 #include "fusion/sharded_scan.h"
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "approx_meu_reference.h"
 #include "core/approx_meu.h"
 #include "core/meu.h"
 #include "core/strategy.h"
@@ -19,6 +22,8 @@
 #include "fusion/priors.h"
 #include "model/compiled_database.h"
 #include "model/database_builder.h"
+#include "obs/metrics.h"
+#include "util/thread_pool.h"
 
 namespace veritas {
 namespace {
@@ -113,6 +118,12 @@ TEST(MergeTopCandidatesTest, CandidateSubsetOnly) {
 
 struct ShardCase {
   std::string model;
+
+  // Printed into the test name; without it gtest dumps the string's bytes,
+  // heap pointer included, and the name changes between builds.
+  friend std::ostream& operator<<(std::ostream& os, const ShardCase& c) {
+    return os << c.model;
+  }
 };
 
 class ShardedSelectionTest : public ::testing::TestWithParam<ShardCase> {};
@@ -335,6 +346,63 @@ TEST(ShardedSelectionTest, ApproxMeuShardThreadInvariance) {
       EXPECT_EQ(strategy.SelectBatch(ctx, 3), expected)
           << "shards=" << shards << " threads=" << threads;
     }
+  }
+}
+
+TEST(ApproxMeuPooledScanTest, GainsMatchReferenceAtEveryLaneCount) {
+  // Each lane scores with its own scratch: gains are == the per-neighbour
+  // reference scan at every lane count, unconfined and shard-confined, and
+  // the per-lane neighbour-update counts sum to the same total.
+  DenseConfig config;
+  config.num_items = 300;
+  config.num_sources = 38;
+  config.density = 0.36;
+  config.copier_fraction = 0.2;
+  config.seed = 17;
+  const SyntheticDataset data = GenerateDense(config);
+  AccuFusion model;
+  FusionOptions opts;
+  PriorSet priors;
+  const std::vector<ItemId> conflicting = data.db.ConflictingItems();
+  for (std::size_t k = 0; k < conflicting.size(); k += 40) {
+    ASSERT_TRUE(priors.SetExact(data.db, conflicting[k], 0).ok());
+  }
+  const FusionResult fusion = model.Fuse(data.db, priors, opts);
+  const ItemGraph graph(data.db);
+  const CompiledDatabase compiled(data.db);
+  const ShardPartition partition(compiled, 4);
+
+  StrategyContext ctx;
+  ctx.db = &data.db;
+  ctx.fusion = &fusion;
+  ctx.priors = &priors;
+  ctx.model = &model;
+  ctx.fusion_opts = &opts;
+  ctx.graph = &graph;
+  const std::vector<ItemId> candidates = CandidateItems(ctx);
+  ASSERT_GT(candidates.size(), 100u);
+  const std::vector<double> reference =
+      ReferenceScores(ctx, candidates, nullptr);
+  const std::vector<double> confined_reference =
+      ReferenceScores(ctx, candidates, nullptr, &partition);
+
+  Counter* updates = MetricsRegistry::Global().GetCounter(
+      "strategy.approx_meu.neighbor_updates");
+  std::uint64_t serial_updates = 0;
+  for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(lanes);
+    ThreadPool pool(lanes);
+    const std::uint64_t before = updates->value();
+    EXPECT_EQ(
+        ApproxMeuStrategy::ScoreCandidates(ctx, candidates, nullptr, &pool),
+        reference);
+    const std::uint64_t counted = updates->value() - before;
+    if (lanes == 1) serial_updates = counted;
+    EXPECT_GT(counted, 0u);
+    EXPECT_EQ(counted, serial_updates);
+    EXPECT_EQ(ApproxMeuStrategy::ScoreCandidates(ctx, candidates, nullptr,
+                                                 &pool, &partition),
+              confined_reference);
   }
 }
 

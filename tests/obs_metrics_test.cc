@@ -3,13 +3,14 @@
 #include "obs/metrics.h"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "test_tmpdir.h"
 
 namespace veritas {
 namespace {
@@ -218,15 +219,13 @@ TEST(MetricsSnapshotTest, JsonAndTextContainInstruments) {
 TEST(MetricsRegistryTest, WriteJsonFileRoundTripsThroughDisk) {
   MetricsRegistry registry;
   registry.GetCounter("written")->Add(1);
-  const std::string path = ::testing::TempDir() + "/veritas_metrics_test.json";
+  const std::string path = TestTmpPath("metrics_test.json");
   ASSERT_TRUE(registry.WriteJsonFile(path).ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());
   std::stringstream buffer;
   buffer << in.rdbuf();
   EXPECT_EQ(buffer.str(), registry.Snapshot().ToJson());
-  in.close();
-  std::remove(path.c_str());
 }
 
 TEST(MetricsRegistryTest, WriteJsonFileBadPathIsIoError) {

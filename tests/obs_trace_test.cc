@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -14,6 +13,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "test_tmpdir.h"
 
 namespace veritas {
 namespace {
@@ -231,7 +232,7 @@ TEST(TraceRecorderTest, WriteChromeJsonRoundTripsThroughDisk) {
   TraceRecorder recorder;
   recorder.Enable();
   recorder.RecordSpan("disk", "t", 1.0, 2.0);
-  const std::string path = ::testing::TempDir() + "/veritas_trace_test.json";
+  const std::string path = TestTmpPath("trace_test.json");
   ASSERT_TRUE(recorder.WriteChromeJson(path).ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());
@@ -239,8 +240,6 @@ TEST(TraceRecorderTest, WriteChromeJsonRoundTripsThroughDisk) {
   buffer << in.rdbuf();
   EXPECT_EQ(buffer.str(), recorder.ToChromeJson());
   EXPECT_TRUE(JsonChecker::Valid(buffer.str()));
-  in.close();
-  std::remove(path.c_str());
 }
 
 TEST(TraceRecorderTest, WriteChromeJsonBadPathIsIoError) {

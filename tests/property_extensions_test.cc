@@ -11,6 +11,7 @@
 #include "fusion/accu_copy.h"
 #include "fusion/lca.h"
 #include "model/database_builder.h"
+#include "test_tmpdir.h"
 #include "util/math.h"
 #include "util/csv.h"
 #include "util/stats.h"
@@ -235,7 +236,7 @@ TEST_P(ExportPropertyTest, FusionCsvHasOneWinnerPerItem) {
   }
   AccuFusion model;
   const FusionResult fused = model.Fuse(data.db, FusionOptions{});
-  const std::string path = ::testing::TempDir() + "/veritas_export_prop.csv";
+  const std::string path = TestTmpPath("export_prop.csv");
   ASSERT_TRUE(WriteFusionCsv(data.db, fused, path).ok());
   const auto rows = ReadCsvFile(path);
   ASSERT_TRUE(rows.ok());
@@ -244,7 +245,6 @@ TEST_P(ExportPropertyTest, FusionCsvHasOneWinnerPerItem) {
     if ((*rows)[r][3] == "1") ++winners;
   }
   EXPECT_EQ(winners, data.db.num_items());
-  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, ExportPropertyTest,

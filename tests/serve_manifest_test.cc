@@ -3,22 +3,17 @@
 // guesses), and the directory sweep lists exactly the surviving manifests.
 #include <gtest/gtest.h>
 
-#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <fstream>
 #include <string>
 
 #include "serve/session_manifest.h"
+#include "test_tmpdir.h"
 
 namespace veritas {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 SessionSpec FullSpec() {
   SessionSpec spec;
@@ -41,7 +36,7 @@ SessionSpec FullSpec() {
 }
 
 TEST(SessionManifestTest, RoundTripsEveryField) {
-  const std::string path = TempPath("veritas_manifest_roundtrip.session");
+  const std::string path = TestTmpPath("veritas_manifest_roundtrip.session");
   const SessionSpec spec = FullSpec();
   ASSERT_TRUE(SaveSessionManifest(spec, path).ok());
   auto loaded = LoadSessionManifest(path);
@@ -62,11 +57,10 @@ TEST(SessionManifestTest, RoundTripsEveryField) {
   EXPECT_EQ(loaded->stall_seconds, spec.stall_seconds);
   EXPECT_EQ(loaded->use_delta_fusion, spec.use_delta_fusion);
   EXPECT_EQ(loaded->recovery_attempts, spec.recovery_attempts);
-  std::remove(path.c_str());
 }
 
 TEST(SessionManifestTest, EmptyStringsRoundTrip) {
-  const std::string path = TempPath("veritas_manifest_empty.session");
+  const std::string path = TestTmpPath("veritas_manifest_empty.session");
   SessionSpec spec;
   spec.id = "plain";
   spec.flaky_plan = "";
@@ -74,17 +68,16 @@ TEST(SessionManifestTest, EmptyStringsRoundTrip) {
   auto loaded = LoadSessionManifest(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->flaky_plan, "");
-  std::remove(path.c_str());
 }
 
 TEST(SessionManifestTest, MissingFileIsNotFound) {
-  auto loaded = LoadSessionManifest(TempPath("veritas_no_such.session"));
+  auto loaded = LoadSessionManifest(TestTmpPath("veritas_no_such.session"));
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
 TEST(SessionManifestTest, TruncatedManifestIsInvalid) {
-  const std::string path = TempPath("veritas_manifest_trunc.session");
+  const std::string path = TestTmpPath("veritas_manifest_trunc.session");
   ASSERT_TRUE(SaveSessionManifest(FullSpec(), path).ok());
   std::ifstream in(path);
   std::string content((std::istreambuf_iterator<char>(in)),
@@ -96,18 +89,16 @@ TEST(SessionManifestTest, TruncatedManifestIsInvalid) {
   auto loaded = LoadSessionManifest(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
 }
 
 TEST(SessionManifestTest, BadHeaderIsInvalid) {
-  const std::string path = TempPath("veritas_manifest_header.session");
+  const std::string path = TestTmpPath("veritas_manifest_header.session");
   std::ofstream out(path, std::ios::trunc);
   out << "not-a-manifest v9\nend\n";
   out.close();
   auto loaded = LoadSessionManifest(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
 }
 
 TEST(SessionManifestTest, ValidatesSessionIds) {
@@ -121,11 +112,7 @@ TEST(SessionManifestTest, ValidatesSessionIds) {
 }
 
 TEST(SessionManifestTest, ListsOnlyManifestsSorted) {
-  const std::string dir = TempPath("veritas_manifest_list_dir");
-  std::remove((dir + "/b.session").c_str());
-  std::remove((dir + "/a.session").c_str());
-  std::remove((dir + "/a.ckpt").c_str());
-  ::rmdir(dir.c_str());
+  const std::string dir = TestTmpPath("veritas_manifest_list_dir");
   ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
   SessionSpec spec;
   spec.id = "b";
@@ -146,14 +133,7 @@ TEST(SessionManifestTest, PathsAreDerivedFromIds) {
 }
 
 TEST(SessionManifestTest, RemovesOnlyDeadWritersTempFiles) {
-  const std::string dir = TempPath("veritas_manifest_janitor_dir");
-  if (DIR* d = ::opendir(dir.c_str())) {  // Residue from a previous run.
-    while (struct dirent* entry = ::readdir(d)) {
-      ::unlink((dir + "/" + entry->d_name).c_str());
-    }
-    ::closedir(d);
-    ::rmdir(dir.c_str());
-  }
+  const std::string dir = TestTmpPath("veritas_manifest_janitor_dir");
   ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
   const auto touch = [&](const std::string& name) {
     std::ofstream(dir + "/" + name) << "x";

@@ -1,10 +1,10 @@
 #include "util/csv.h"
 
-#include <cstdio>
 #include <fstream>
 
 #include <gtest/gtest.h>
 
+#include "test_tmpdir.h"
 #include "util/rng.h"
 
 namespace veritas {
@@ -64,10 +64,7 @@ TEST(FormatCsvRowTest, RoundTripsThroughParse) {
 
 class CsvFileTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = ::testing::TempDir() + "/veritas_csv_test.csv";
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void SetUp() override { path_ = TestTmpPath("csv_test.csv"); }
   std::string path_;
 };
 

@@ -3,17 +3,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "test_tmpdir.h"
+
 namespace veritas {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 std::string Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -47,24 +44,21 @@ TEST(Crc32cTest, SingleBitFlipChangesTheChecksum) {
 }
 
 TEST(AtomicWriteFileTest, WritesNewFile) {
-  const std::string path = TempPath("durable_new.txt");
-  std::remove(path.c_str());
+  const std::string path = TestTmpPath("durable_new.txt");
   ASSERT_TRUE(AtomicWriteFile(path, "hello durable world\n").ok());
   EXPECT_EQ(Slurp(path), "hello durable world\n");
-  std::remove(path.c_str());
 }
 
 TEST(AtomicWriteFileTest, ReplacesExistingFileCompletely) {
-  const std::string path = TempPath("durable_replace.txt");
+  const std::string path = TestTmpPath("durable_replace.txt");
   ASSERT_TRUE(AtomicWriteFile(path, "a much longer first version\n").ok());
   ASSERT_TRUE(AtomicWriteFile(path, "short\n").ok());
   EXPECT_EQ(Slurp(path), "short\n");  // No tail of the old contents.
-  std::remove(path.c_str());
 }
 
 TEST(AtomicWriteFileTest, LeavesNoTempLitterOnSuccess) {
   namespace fs = std::filesystem;
-  const std::string dir = TempPath("durable_clean_dir");
+  const std::string dir = TestTmpPath("durable_clean_dir");
   fs::create_directory(dir);
   const std::string path = dir + "/artifact.json";
   ASSERT_TRUE(AtomicWriteFile(path, "{}\n").ok());
@@ -74,13 +68,11 @@ TEST(AtomicWriteFileTest, LeavesNoTempLitterOnSuccess) {
     EXPECT_EQ(entry.path().filename().string(), "artifact.json");
   }
   EXPECT_EQ(entries, 1u);
-  fs::remove_all(dir);
 }
 
 TEST(AtomicWriteFileTest, FailsCleanlyWhenDirectoryDoesNotExist) {
   namespace fs = std::filesystem;
-  const std::string dir = TempPath("durable_no_such_dir");
-  fs::remove_all(dir);
+  const std::string dir = TestTmpPath("durable_no_such_dir");
   const Status status = AtomicWriteFile(dir + "/x.txt", "data");
   EXPECT_FALSE(status.ok());
   EXPECT_FALSE(fs::exists(dir));  // No resurrected directory, no litter.
@@ -89,24 +81,22 @@ TEST(AtomicWriteFileTest, FailsCleanlyWhenDirectoryDoesNotExist) {
 TEST(AtomicWriteFileTest, FailureDoesNotTouchThePreviousFile) {
   // Writing "through" an existing file as if it were a directory fails; the
   // original file must survive unmodified.
-  const std::string path = TempPath("durable_keep.txt");
+  const std::string path = TestTmpPath("durable_keep.txt");
   ASSERT_TRUE(AtomicWriteFile(path, "precious\n").ok());
   EXPECT_FALSE(AtomicWriteFile(path + "/sub.txt", "clobber").ok());
   EXPECT_EQ(Slurp(path), "precious\n");
-  std::remove(path.c_str());
 }
 
 TEST(AtomicWriteFileTest, UnsyncedModeStillWritesAtomically) {
-  const std::string path = TempPath("durable_nosync.txt");
+  const std::string path = TestTmpPath("durable_nosync.txt");
   AtomicWriteOptions options;
   options.sync = false;
   ASSERT_TRUE(AtomicWriteFile(path, "fast path\n", options).ok());
   EXPECT_EQ(Slurp(path), "fast path\n");
-  std::remove(path.c_str());
 }
 
 TEST(AtomicWriteFileTest, HandlesLargeContents) {
-  const std::string path = TempPath("durable_large.bin");
+  const std::string path = TestTmpPath("durable_large.bin");
   std::string contents;
   contents.reserve(1 << 20);
   for (int i = 0; contents.size() < (1u << 20); ++i) {
@@ -114,7 +104,6 @@ TEST(AtomicWriteFileTest, HandlesLargeContents) {
   }
   ASSERT_TRUE(AtomicWriteFile(path, contents).ok());
   EXPECT_EQ(Slurp(path), contents);
-  std::remove(path.c_str());
 }
 
 }  // namespace
