@@ -88,7 +88,7 @@ void BM_ApproxMeuScoreCandidates(benchmark::State& state) {
   const std::vector<ItemId> candidates = CandidateItems(fixture.ctx);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ApproxMeuStrategy::ScoreCandidates(
-        fixture.ctx, candidates, /*impact_filter=*/nullptr));
+        fixture.ctx, candidates, /*impact_filter=*/nullptr, /*scan=*/nullptr));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(candidates.size()));

@@ -165,6 +165,25 @@ struct ThreadSweepRun {
   std::size_t pool_steals = 0;
 };
 
+// Delta-path MEU with branch-and-bound off: the unpruned reference the
+// thread sweep's speedup_vs_unpruned is measured against.
+class UnprunedMeu : public Strategy {
+ public:
+  std::string name() const override { return "meu_unpruned"; }
+  void Reset() override { meu_.Reset(); }
+  std::vector<ItemId> SelectBatch(const StrategyContext& ctx,
+                                  std::size_t batch) override {
+    const std::vector<ItemId> candidates = CandidateItems(ctx);
+    return TopKByScore(candidates,
+                       meu_.ScoreCandidateGains(ctx, candidates, batch,
+                                                /*allow_prune=*/false),
+                       batch);
+  }
+
+ private:
+  MeuStrategy meu_{1};
+};
+
 ThreadSweepRun RunMeuSession(const NamedDataset& dataset, Strategy* strategy,
                              std::size_t actions) {
   ThreadSweepRun out;
@@ -356,9 +375,7 @@ int WriteBenchJson(const std::string& path, ScaleMode mode) {
     // sequence must be identical at every lane count (the pool's
     // determinism contract); CI diffs the 1-thread and 2-thread strings and
     // asserts candidates_pruned > 0.
-    MeuScanOptions no_prune;
-    no_prune.prune = false;
-    MeuStrategy unpruned_meu(1, no_prune);
+    UnprunedMeu unpruned_meu;
     const double meu_delta_unpruned_s =
         RunMeuSession(dataset, &unpruned_meu, actions).mean_select_seconds;
     ThreadSweepRun one_thread;

@@ -266,7 +266,7 @@ double ApproxMeuStrategy::ExpectedEntropyAfterValidation(
 
 std::vector<double> ApproxMeuStrategy::ScoreCandidates(
     const StrategyContext& ctx, const std::vector<ItemId>& candidates,
-    const std::vector<bool>* impact_filter, ThreadPool* pool,
+    const std::vector<bool>* impact_filter, CandidateScan* scan,
     const ShardPartition* confine) {
   VERITAS_SPAN("strategy.approx_meu.score");
   static Counter* lookaheads =
@@ -278,25 +278,19 @@ std::vector<double> ApproxMeuStrategy::ScoreCandidates(
   lookaheads->Add(candidates.size());
   candidates_hist->Observe(static_cast<double>(candidates.size()));
   const ScatterTables tab(ctx, impact_filter, confine);
-  std::vector<LaneScratch> scratch(pool != nullptr ? pool->lanes() : 1);
+  CandidateScan serial(1);
+  CandidateScan& driver = scan != nullptr ? *scan : serial;
+  // Scratch is per call, never per driver: its stamps are call ordinals + 1,
+  // so scratch carried into the next call would skip the zeroing of blocks
+  // whose stamp happens to match.
+  std::vector<LaneScratch> scratch(driver.lanes());
 
   std::vector<double> gains(candidates.size(), 0.0);
-  const ThreadPool::Body body = [&](std::size_t lane, std::size_t begin,
-                                    std::size_t end) {
-    for (std::size_t idx = begin; idx < end; ++idx) {
-      // Hard stop: abandon the scan; `gains` stays parallel to `candidates`
-      // for TopKByScore (the session discards the round anyway).
-      if (HardStopRequested(ctx.cancel)) return;
-      gains[idx] = ScatterGain(tab, candidates[idx], idx, &scratch[lane]);
-    }
-  };
-  constexpr std::size_t kSerialCutoff = 32;
-  if (pool == nullptr || pool->lanes() <= 1 ||
-      candidates.size() < kSerialCutoff) {
-    body(/*lane=*/0, 0, candidates.size());
-  } else {
-    pool->ParallelFor(candidates.size(), /*chunk_size=*/8, body);
-  }
+  driver.ForEach(candidates.size(), ctx.cancel,
+                 [&](std::size_t lane, std::size_t idx) {
+                   gains[idx] = ScatterGain(tab, candidates[idx], idx,
+                                            &scratch[lane]);
+                 });
   std::uint64_t updates = 0;
   for (const LaneScratch& sc : scratch) updates += sc.neighbor_updates;
   neighbor_updates->Add(updates);
@@ -309,46 +303,26 @@ std::vector<ItemId> ApproxMeuStrategy::SelectBatch(const StrategyContext& ctx,
       "strategy.approx_meu.select_calls");
   select_calls->Add(1);
   const std::vector<ItemId> candidates = CandidateItems(ctx);
-  if (num_threads_ > 1 && pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(num_threads_);
-  }
   const std::size_t shards =
       ctx.fusion_opts != nullptr ? ctx.fusion_opts->shards : 1;
   if (shards > 1 && ctx.delta != nullptr && candidates.size() > batch) {
-    return SelectBatchSharded(ctx, candidates, batch, shards);
+    // Stage 1 is one pooled pass over ALL candidates with the partition as
+    // the confinement predicate: each candidate's entropy impact only counts
+    // neighbours in its own shard, so a head source's cross-shard fan-out is
+    // never walked during the estimate pass (DESIGN.md §5h).
+    VERITAS_SPAN("strategy.approx_meu.select_sharded");
+    return scan_.SelectSharded(
+        ctx.delta->compiled(), shards, candidates, batch,
+        [&](const std::vector<ItemId>& stage_candidates, std::size_t /*top_k*/,
+            const ShardedScanPlan* confine) {
+          return ScoreCandidates(
+              ctx, stage_candidates, /*impact_filter=*/nullptr, &scan_,
+              confine != nullptr ? &confine->partition() : nullptr);
+        });
   }
   const std::vector<double> gains =
-      ScoreCandidates(ctx, candidates, /*impact_filter=*/nullptr, pool_.get());
+      ScoreCandidates(ctx, candidates, /*impact_filter=*/nullptr, &scan_);
   return TopKByScore(candidates, gains, batch);
-}
-
-std::vector<ItemId> ApproxMeuStrategy::SelectBatchSharded(
-    const StrategyContext& ctx, const std::vector<ItemId>& candidates,
-    std::size_t batch, std::size_t shards) {
-  VERITAS_SPAN("strategy.approx_meu.select_sharded");
-  shard_plan_.Prepare(ctx.delta->compiled(), shards);
-  const ShardPartition& partition = shard_plan_.partition();
-  const std::size_t quota = ShardedScanPlan::MergeQuota(batch);
-
-  // Stage 1: one pooled scan over ALL candidates with the partition as the
-  // confinement predicate — each candidate's entropy impact only counts
-  // neighbours in its own shard, so a head source's cross-shard fan-out is
-  // never walked during the estimate pass. Confinement is a pure function
-  // of (partition, i, j) and gains land in disjoint slots, so candidates of
-  // different shards score concurrently on the pool's lanes and the result
-  // is identical for any shard x thread combination (asserted by
-  // fusion_sharded_scan_test). This replaces a serial per-shard loop that
-  // rebuilt an O(num_items) membership bitmap per shard.
-  const std::vector<double> estimates =
-      ScoreCandidates(ctx, candidates, /*impact_filter=*/nullptr, pool_.get(),
-                      &partition);
-
-  // Coordinator merge, then stage 2: unfiltered exact re-score of the pool.
-  const std::vector<ItemId> pool =
-      MergeTopCandidatesPerShard(candidates, estimates, partition, quota);
-  const std::vector<double> gains =
-      ScoreCandidates(ctx, pool, /*impact_filter=*/nullptr, pool_.get());
-  return TopKByScore(pool, gains, batch);
 }
 
 }  // namespace veritas

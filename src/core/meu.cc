@@ -26,6 +26,9 @@ namespace {
 // value) stands in for the full lookahead.
 constexpr double kNegligiblePinMass = 1e-12;
 
+// How many of last round's best candidates seed the front of the scan.
+constexpr std::size_t kSeedLimit = 64;
+
 // Monotone non-decreasing pruning threshold: the top_k-th best *exact* gain
 // seen so far (-inf until top_k exact gains exist). Writers funnel through a
 // mutex-protected min-heap (top_k is tiny — the batch size); readers poll a
@@ -158,7 +161,7 @@ std::vector<double> MeuStrategy::ScanCandidateGains(
   static Counter* steals_counter =
       MetricsRegistry::Global().GetCounter("meu.pool_steals");
   // Largest observed gain / H_item ratio: the empirical check on the
-  // prune_margin_rel bound (must stay below 1 + margin; see DESIGN.md §5f).
+  // kPruneMarginRel bound (must stay below 1 + margin; see DESIGN.md §5f).
   static Gauge* bound_ratio_gauge =
       MetricsRegistry::Global().GetGauge("meu.max_gain_bound_ratio");
 
@@ -186,8 +189,8 @@ std::vector<double> MeuStrategy::ScanCandidateGains(
                                    : nullptr;
 
   const std::vector<std::size_t> order = ScanOrder(ctx, candidates);
-  const bool prune = allow_prune && scan_.prune && use_delta && top_k > 0 &&
-                     top_k < candidates.size();
+  const bool prune =
+      allow_prune && use_delta && top_k > 0 && top_k < candidates.size();
   // One threshold per shard in confined mode (each shard selects its own
   // top-quota); a single global threshold otherwise. GainThreshold is
   // neither movable nor copyable, hence the unique_ptr elements.
@@ -200,119 +203,106 @@ std::vector<double> MeuStrategy::ScanCandidateGains(
   }
   std::atomic<std::uint64_t> pruned{0};
   std::atomic<double> max_ratio{0.0};
-  if (lane_ws_.size() < num_threads_) lane_ws_.resize(num_threads_);
+  if (lane_ws_.size() < scan_.lanes()) lane_ws_.resize(scan_.lanes());
+  // (pk, k) claim order per lane, reused across the lane's candidates.
+  std::vector<std::vector<std::pair<double, ClaimIndex>>> lane_claims(
+      scan_.lanes());
 
-  const ThreadPool::Body body = [&](std::size_t lane, std::size_t begin,
-                                    std::size_t end) {
-    DeltaFusionEngine::Workspace& ws = lane_ws_[lane];
-    std::vector<std::pair<double, ClaimIndex>> claims;  // (pk, k), reused.
-    for (std::size_t pos = begin; pos < end; ++pos) {
-      // Hard stop: abandon the scan. The truncated gains are never recorded
-      // — the session discards the round — so the zero-filled tail is fine.
-      if (HardStopRequested(ctx.cancel)) return;
-      const std::size_t idx = order[pos];
-      const ItemId item = candidates[idx];
-      if (!use_delta) {
-        // Cold / non-delta path: exact full-Fuse lookahead, never pruned
-        // (the worked-example contract).
-        gains[idx] =
-            current_entropy - ExpectedEntropyAfterValidation(ctx, item);
-        continue;
-      }
-      ItemScope scope;
-      const ItemScope* scope_ptr = nullptr;
-      if (shard_map != nullptr) {
-        scope = plan->ScopeFor(item);
-        scope_ptr = &scope;
-      }
-      GainThreshold& threshold =
-          shard_map != nullptr ? *thresholds[shard_map[item]] : *thresholds[0];
-
-      // Per-claim gain bound: pinning o_i removes its own entropy H_i
-      // exactly; the cross-item ripple is bounded by margin * H_i (exactly
-      // zero for Voting, where a pin moves nothing else). DESIGN.md §5f.
-      // Confinement only shrinks the ripple, so the same bound is admissible
-      // for the shard-confined estimates.
-      const double h_item = base->item_entropy[item];
-      const double margin =
-          ctx.delta->cross_item_influence() ? scan_.prune_margin_rel : 0.0;
-      const double claim_bound = (1.0 + margin) * h_item;
-      if (prune && claim_bound < threshold.Get()) {
-        // A-priori prune: gain <= claim_bound < threshold.
-        gains[idx] = claim_bound;
-        pruned.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-
-      // Claims best-first (descending pk, ties by claim index) so the
-      // partial bound tightens as fast as possible. The order is a pure
-      // function of the fusion state — identical for every schedule.
-      claims.clear();
-      const Database& db = *ctx.db;
-      double total_mass = 0.0;
-      for (ClaimIndex k = 0; k < db.num_claims(item); ++k) {
-        const double pk = ctx.fusion->prob(item, k);
-        if (pk <= 0.0) continue;
-        claims.emplace_back(pk, k);
-        total_mass += pk;
-      }
-      std::sort(claims.begin(), claims.end(),
-                [](const std::pair<double, ClaimIndex>& a,
-                   const std::pair<double, ClaimIndex>& b) {
-                  if (a.first != b.first) return a.first > b.first;
-                  return a.second < b.second;
-                });
-      double expected = 0.0;
-      double mass = 0.0;
-      bool was_pruned = false;
-      for (const auto& [pk, k] : claims) {
-        if (pk < kNegligiblePinMass) {
-          expected += pk * (base->total_entropy - base->item_entropy[item]);
-        } else {
-          expected += pk * ctx.delta->EntropyAfterExactPin(*base, ws,
-                                                           *ctx.priors, item,
-                                                           k, nullptr,
-                                                           scope_ptr);
-        }
-        mass += pk;
-        if (!prune) continue;
-        // Each unevaluated claim keeps at least (current - claim_bound)
-        // entropy, so the remaining mass can add at most
-        // remaining * claim_bound of gain. The clamp keeps the bound
-        // conservative against rounding in the mass accumulation.
-        const double remaining = std::max(0.0, total_mass - mass);
-        const double ub = (current_entropy - expected) -
-                          remaining * (current_entropy - claim_bound);
-        if (ub < threshold.Get()) {
-          gains[idx] = ub;
-          pruned.fetch_add(1, std::memory_order_relaxed);
-          was_pruned = true;
-          break;
-        }
-      }
-      if (was_pruned) continue;
-      // Delta EU_i of Eq. (7): current entropy minus expected entropy.
-      const double gain = current_entropy - expected;
-      gains[idx] = gain;
-      if (prune) threshold.Offer(gain);
-      // Gauge the margin only on items with entropy above the propagation's
-      // numerical noise floor (~1e-9 nats): below it the quotient measures
-      // rounding, not cross-item influence, and a pruned near-zero-entropy
-      // item is below any plausible threshold regardless.
-      if (h_item > 1e-6) AtomicMaxDouble(max_ratio, gain / h_item);
+  // The kernel: the candidate at scan position `pos`. On a hard stop the
+  // driver skips the remaining positions; the truncated gains are never
+  // recorded (the session discards the round), so the zero-filled tail is
+  // fine.
+  const auto kernel = [&](std::size_t lane, std::size_t pos) {
+    const std::size_t idx = order[pos];
+    const ItemId item = candidates[idx];
+    if (!use_delta) {
+      // Cold / non-delta path: exact full-Fuse lookahead, never pruned (the
+      // worked-example contract).
+      gains[idx] = current_entropy - ExpectedEntropyAfterValidation(ctx, item);
+      return;
     }
+    ItemScope scope;
+    const ItemScope* scope_ptr = nullptr;
+    if (shard_map != nullptr) {
+      scope = plan->ScopeFor(item);
+      scope_ptr = &scope;
+    }
+    GainThreshold& threshold =
+        shard_map != nullptr ? *thresholds[shard_map[item]] : *thresholds[0];
+
+    // Per-claim gain bound: pinning o_i removes its own entropy H_i exactly;
+    // the cross-item ripple is bounded by margin * H_i (exactly zero for
+    // Voting, where a pin moves nothing else). DESIGN.md §5f. Confinement
+    // only shrinks the ripple, so the same bound is admissible for the
+    // shard-confined estimates.
+    const double h_item = base->item_entropy[item];
+    const double margin =
+        ctx.delta->cross_item_influence() ? kPruneMarginRel : 0.0;
+    const double claim_bound = (1.0 + margin) * h_item;
+    if (prune && claim_bound < threshold.Get()) {
+      // A-priori prune: gain <= claim_bound < threshold.
+      gains[idx] = claim_bound;
+      pruned.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+
+    // Claims best-first (descending pk, ties by claim index) so the partial
+    // bound tightens as fast as possible. The order is a pure function of
+    // the fusion state — identical for every schedule.
+    std::vector<std::pair<double, ClaimIndex>>& claims = lane_claims[lane];
+    claims.clear();
+    const Database& db = *ctx.db;
+    double total_mass = 0.0;
+    for (ClaimIndex k = 0; k < db.num_claims(item); ++k) {
+      const double pk = ctx.fusion->prob(item, k);
+      if (pk <= 0.0) continue;
+      claims.emplace_back(pk, k);
+      total_mass += pk;
+    }
+    std::sort(claims.begin(), claims.end(),
+              [](const std::pair<double, ClaimIndex>& a,
+                 const std::pair<double, ClaimIndex>& b) {
+                if (a.first != b.first) return a.first > b.first;
+                return a.second < b.second;
+              });
+    double expected = 0.0;
+    double mass = 0.0;
+    for (const auto& [pk, k] : claims) {
+      if (pk < kNegligiblePinMass) {
+        expected += pk * (base->total_entropy - base->item_entropy[item]);
+      } else {
+        expected += pk * ctx.delta->EntropyAfterExactPin(
+                             *base, lane_ws_[lane], *ctx.priors, item, k,
+                             nullptr, scope_ptr);
+      }
+      mass += pk;
+      if (!prune) continue;
+      // Each unevaluated claim keeps at least (current - claim_bound)
+      // entropy, so the remaining mass can add at most remaining *
+      // claim_bound of gain. The clamp keeps the bound conservative against
+      // rounding in the mass accumulation.
+      const double remaining = std::max(0.0, total_mass - mass);
+      const double ub = (current_entropy - expected) -
+                        remaining * (current_entropy - claim_bound);
+      if (ub < threshold.Get()) {
+        gains[idx] = ub;
+        pruned.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+    }
+    // Delta EU_i of Eq. (7): current entropy minus expected entropy.
+    const double gain = current_entropy - expected;
+    gains[idx] = gain;
+    if (prune) threshold.Offer(gain);
+    // Gauge the margin only on items with entropy above the propagation's
+    // numerical noise floor (~1e-9 nats): below it the quotient measures
+    // rounding, not cross-item influence, and a pruned near-zero-entropy
+    // item is below any plausible threshold regardless.
+    if (h_item > 1e-6) AtomicMaxDouble(max_ratio, gain / h_item);
   };
 
-  const std::size_t n = candidates.size();
-  std::uint64_t stolen = 0;
-  if (num_threads_ <= 1 || n < scan_.serial_cutoff) {
-    // Serial cutoff: tiny rounds run inline; pool dispatch costs more than
-    // it buys (and the pool is not even constructed until first needed).
-    body(/*lane=*/0, 0, n);
-  } else {
-    if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(num_threads_);
-    stolen = pool_->ParallelFor(n, scan_.chunk_size, body);
-  }
+  const std::uint64_t stolen =
+      scan_.ForEach(candidates.size(), ctx.cancel, kernel);
   pruned_counter->Add(pruned.load(std::memory_order_relaxed));
   if (stolen > 0) steals_counter->Add(stolen);
   const double ratio = max_ratio.load(std::memory_order_relaxed);
@@ -322,7 +312,7 @@ std::vector<double> MeuStrategy::ScanCandidateGains(
   // winners are evaluated first and the threshold tightens immediately.
   // Confined estimates never seed: the ranking belongs to the exact scan.
   if (shard_map == nullptr) {
-    seed_ranking_ = TopKByScore(candidates, gains, scan_.seed_limit);
+    seed_ranking_ = TopKByScore(candidates, gains, kSeedLimit);
   }
   return gains;
 }
@@ -345,46 +335,24 @@ std::vector<ItemId> MeuStrategy::SelectBatch(const StrategyContext& ctx,
   const std::size_t shards = ctx.fusion_opts->shards;
   const bool use_delta = ctx.delta != nullptr && ctx.warm_start_lookahead;
   if (shards > 1 && use_delta && candidates.size() > batch) {
-    return SelectBatchSharded(ctx, candidates, batch, shards);
+    VERITAS_SPAN("strategy.meu.select_sharded");
+    // One O(database) flatten serves both stages: stage 2's pins run
+    // against the same base (each lookahead restores what it touched), so
+    // neither the flatten nor the per-lane workspace sync is paid twice.
+    // Stage 2 is the classic exact scan and refreshes the seed ranking.
+    const DeltaFusionEngine::BaseState base =
+        ctx.delta->PrepareBase(*ctx.fusion);
+    return scan_.SelectSharded(
+        ctx.delta->compiled(), shards, candidates, batch,
+        [&](const std::vector<ItemId>& stage_candidates, std::size_t top_k,
+            const ShardedScanPlan* confine) {
+          return ScanCandidateGains(ctx, stage_candidates, top_k,
+                                    /*allow_prune=*/true, confine, &base);
+        });
   }
   const std::vector<double> gains =
       ScoreCandidateGains(ctx, candidates, batch, /*allow_prune=*/true);
   return TopKByScore(candidates, gains, batch);
-}
-
-std::vector<ItemId> MeuStrategy::SelectBatchSharded(
-    const StrategyContext& ctx, const std::vector<ItemId>& candidates,
-    std::size_t batch, std::size_t shards) {
-  VERITAS_SPAN("strategy.meu.select_sharded");
-  static Counter* shard_scans =
-      MetricsRegistry::Global().GetCounter("meu.shard_scans");
-  static Histogram* pool_hist = MetricsRegistry::Global().GetHistogram(
-      "meu.shard_pool_candidates", MetricsRegistry::CountEdges());
-  shard_plan_.Prepare(ctx.delta->compiled(), shards);
-  shard_scans->Add(1);
-
-  // One O(database) flatten serves both stages: stage 2's pins run against
-  // the same base (each lookahead restores what it touched), so neither the
-  // flatten nor the per-lane workspace sync is paid twice.
-  const DeltaFusionEngine::BaseState base =
-      ctx.delta->PrepareBase(*ctx.fusion);
-
-  // Stage 1: shard-confined estimates with per-shard branch-and-bound,
-  // keeping each shard's top `quota` candidates competitive.
-  const std::size_t quota = ShardedScanPlan::MergeQuota(batch);
-  const std::vector<double> estimates = ScanCandidateGains(
-      ctx, candidates, quota, /*allow_prune=*/true, &shard_plan_, &base);
-
-  // Coordinator: deterministic per-shard top-quota merge.
-  const std::vector<ItemId> pool = MergeTopCandidatesPerShard(
-      candidates, estimates, shard_plan_.partition(), quota);
-  pool_hist->Observe(static_cast<double>(pool.size()));
-
-  // Stage 2: exact unconfined re-rank of the pool — the classic scan, just
-  // on O(shards * quota) items. This also refreshes the seed ranking.
-  const std::vector<double> gains = ScanCandidateGains(
-      ctx, pool, batch, /*allow_prune=*/true, /*plan=*/nullptr, &base);
-  return TopKByScore(pool, gains, batch);
 }
 
 }  // namespace veritas

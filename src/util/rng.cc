@@ -26,7 +26,11 @@ bool Rng::Bernoulli(double p) {
 }
 
 double Rng::Normal(double mean, double stddev) {
-  return std::normal_distribution<double>(mean, stddev)(engine_);
+  // std::normal_distribution requires stddev > 0. A standard draw scaled by
+  // hand is defined at stddev == 0 and computes the same expression as
+  // libstdc++'s own scaling, so every stream stays bit-identical.
+  const double z = std::normal_distribution<double>(0.0, 1.0)(engine_);
+  return z * stddev + mean;
 }
 
 double Rng::Pareto(double alpha) {

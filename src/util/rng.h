@@ -28,7 +28,8 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool Bernoulli(double p);
 
-  /// Normal sample with the given mean and standard deviation.
+  /// Normal sample with the given mean and standard deviation. stddev == 0
+  /// returns `mean` (and still consumes the draw).
   double Normal(double mean, double stddev);
 
   /// Pareto-like heavy-tail sample in [1, inf): 1 / U^{1/alpha}.

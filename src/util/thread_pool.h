@@ -2,10 +2,11 @@
 //
 // The MEU-family strategies used to spawn fresh std::threads for every
 // SelectNext round — thousands of thread creations per session, each paying
-// kernel setup and cold stacks. This pool is created once per strategy and
-// reused: N-1 background workers sleep on a condition variable between
-// rounds, and the caller participates as lane 0, so a ParallelFor costs one
-// notify + one join-free completion wait instead of N thread spawns.
+// kernel setup and cold stacks. This pool is created once per CandidateScan
+// driver (one per strategy) and reused: N-1 background workers sleep on a
+// condition variable between rounds, and the caller participates as lane 0,
+// so a ParallelFor costs one notify + one join-free completion wait instead
+// of N thread spawns.
 //
 // Scheduling: the index range is cut into fixed-size chunks and chunk
 // ordinals are dealt to lanes round-robin (lane w owns chunks w, w+L,
@@ -20,7 +21,8 @@
 // Determinism contract: the pool guarantees every index in [0, n) is
 // executed exactly once, but NOT in a fixed order and NOT on a fixed lane.
 // Callers that need deterministic results must write to disjoint slots and
-// reduce after ParallelFor returns (see MeuStrategy for the pattern).
+// reduce after ParallelFor returns (core/candidate_scan.h is the one user
+// and shows the pattern).
 //
 // Not reentrant: ParallelFor must not be called from inside a body, and a
 // pool must not run two ParallelFors concurrently. Bodies poll their own

@@ -395,7 +395,7 @@ TEST(ApproxMeuScatterTest, ShardConfinementMatchesReference) {
     const ShardPartition partition(c.compiled, shards);
     ExpectBitIdentical(
         ApproxMeuStrategy::ScoreCandidates(c.ctx, candidates, nullptr,
-                                           /*pool=*/nullptr, &partition),
+                                           /*scan=*/nullptr, &partition),
         ReferenceScores(c.ctx, candidates, nullptr, &partition));
   }
 }

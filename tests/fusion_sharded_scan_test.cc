@@ -14,6 +14,7 @@
 
 #include "approx_meu_reference.h"
 #include "core/approx_meu.h"
+#include "core/candidate_scan.h"
 #include "core/meu.h"
 #include "core/strategy.h"
 #include "data/synthetic.h"
@@ -23,7 +24,6 @@
 #include "model/compiled_database.h"
 #include "model/database_builder.h"
 #include "obs/metrics.h"
-#include "util/thread_pool.h"
 
 namespace veritas {
 namespace {
@@ -281,7 +281,7 @@ TEST(ShardedSelectionTest, ConfinedScoreMatchesPerShardImpactFilter) {
   ASSERT_FALSE(candidates.empty());
   const ShardPartition partition(engine->compiled(), 3);
   const std::vector<double> confined = ApproxMeuStrategy::ScoreCandidates(
-      ctx, candidates, /*impact_filter=*/nullptr, /*pool=*/nullptr,
+      ctx, candidates, /*impact_filter=*/nullptr, /*scan=*/nullptr,
       &partition);
   ASSERT_EQ(confined.size(), candidates.size());
 
@@ -298,7 +298,7 @@ TEST(ShardedSelectionTest, ConfinedScoreMatchesPerShardImpactFilter) {
       expected.push_back(confined[idx]);
     }
     const std::vector<double> filtered = ApproxMeuStrategy::ScoreCandidates(
-        ctx, bucket, &in_shard, /*pool=*/nullptr);
+        ctx, bucket, &in_shard, /*scan=*/nullptr);
     EXPECT_EQ(filtered, expected) << "shard " << s;
   }
 }
@@ -391,17 +391,17 @@ TEST(ApproxMeuPooledScanTest, GainsMatchReferenceAtEveryLaneCount) {
   std::uint64_t serial_updates = 0;
   for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE(lanes);
-    ThreadPool pool(lanes);
+    CandidateScan scan(lanes);
     const std::uint64_t before = updates->value();
     EXPECT_EQ(
-        ApproxMeuStrategy::ScoreCandidates(ctx, candidates, nullptr, &pool),
+        ApproxMeuStrategy::ScoreCandidates(ctx, candidates, nullptr, &scan),
         reference);
     const std::uint64_t counted = updates->value() - before;
     if (lanes == 1) serial_updates = counted;
     EXPECT_GT(counted, 0u);
     EXPECT_EQ(counted, serial_updates);
     EXPECT_EQ(ApproxMeuStrategy::ScoreCandidates(ctx, candidates, nullptr,
-                                                 &pool, &partition),
+                                                 &scan, &partition),
               confined_reference);
   }
 }

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/candidate_scan.h"
 #include "core/meu.h"
 #include "core/strategy.h"
 #include "data/synthetic.h"
@@ -63,6 +64,17 @@ struct ScanFixture {
   StrategyContext ctx;
 };
 
+// The unpruned reference selection: every candidate scored exactly.
+std::vector<ItemId> UnprunedSelection(const StrategyContext& ctx,
+                                      std::size_t batch) {
+  MeuStrategy reference(1);
+  const std::vector<ItemId> candidates = CandidateItems(ctx);
+  return TopKByScore(candidates,
+                     reference.ScoreCandidateGains(ctx, candidates, batch,
+                                                   /*allow_prune=*/false),
+                     batch);
+}
+
 constexpr const char* kModels[] = {"accu", "voting", "truthfinder"};
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
 
@@ -71,10 +83,7 @@ TEST(MeuPrunedParallelTest, SelectionsMatchUnprunedSerialScan) {
     ScanFixture fx(model_name);
     ASSERT_NE(fx.delta, nullptr) << model_name;
 
-    MeuScanOptions off;
-    off.prune = false;
-    MeuStrategy reference(1, off);
-    const std::vector<ItemId> want = reference.SelectBatch(fx.ctx, 5);
+    const std::vector<ItemId> want = UnprunedSelection(fx.ctx, 5);
     ASSERT_EQ(want.size(), 5u) << model_name;
 
     for (const std::size_t threads : kThreadCounts) {
@@ -94,21 +103,20 @@ TEST(MeuPrunedParallelTest, UnprunedGainsAreBitIdenticalAcrossThreadCounts) {
     const std::vector<ItemId> candidates = CandidateItems(fx.ctx);
     ASSERT_FALSE(candidates.empty()) << model_name;
 
-    MeuScanOptions off;
-    off.prune = false;
-    MeuStrategy serial(1, off);
-    const std::vector<double> want =
-        serial.ScoreCandidateGains(fx.ctx, candidates, 5, false);
+    // Enough candidates that the scan fans out over the pool.
+    ASSERT_GE(candidates.size(), CandidateScan::kSerialCutoff) << model_name;
+
+    MeuStrategy serial(1);
+    const std::vector<double> want = serial.ScoreCandidateGains(
+        fx.ctx, candidates, 5, /*allow_prune=*/false);
 
     for (const std::size_t threads : {std::size_t{4}, std::size_t{8}}) {
-      MeuScanOptions scan = off;
-      scan.serial_cutoff = 1;  // Force the pool even on this small set.
-      MeuStrategy parallel(threads, scan);
-      const std::vector<double> got =
-          parallel.ScoreCandidateGains(fx.ctx, candidates, 5, false);
+      MeuStrategy parallel(threads);
+      const std::vector<double> got = parallel.ScoreCandidateGains(
+          fx.ctx, candidates, 5, /*allow_prune=*/false);
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_DOUBLE_EQ(got[i], want[i])
+        EXPECT_EQ(got[i], want[i])
             << model_name << " candidate " << candidates[i] << " at "
             << threads << " thread(s)";
       }
@@ -126,30 +134,28 @@ TEST(MeuPrunedParallelTest, PruningFiresOnTheDeltaPath) {
   const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
   // A batch-1 scan over ~80 conflicting items must abandon most of them.
   EXPECT_GT(after.Value("meu.candidates_pruned"), 0.0);
-  // The empirical check on the prune_margin_rel bound: no observed gain may
+  // The empirical check on the kPruneMarginRel bound: no observed gain may
   // come near the assumed (1 + margin) * H_item ceiling.
   EXPECT_LT(after.Value("meu.max_gain_bound_ratio"),
-            1.0 + pruned.scan_options().prune_margin_rel);
+            1.0 + MeuStrategy::kPruneMarginRel);
 }
 
 TEST(MeuPrunedParallelTest, GainBoundMarginHoldsOnEveryModel) {
   // Score every candidate exactly (pruning off) and check the largest
   // observed gain / H_item quotient against the bound the pruner assumes:
-  // exactly 1 for Voting (a pin moves nothing else), 1 + prune_margin_rel
+  // exactly 1 for Voting (a pin moves nothing else), 1 + kPruneMarginRel
   // for the models with cross-item influence.
   for (const char* model_name : kModels) {
     ScanFixture fx(model_name);
     ASSERT_NE(fx.delta, nullptr) << model_name;
     MetricsRegistry::Global().Reset();
-    MeuScanOptions off;
-    off.prune = false;
-    MeuStrategy exact(1, off);
+    MeuStrategy exact(1);
     const std::vector<ItemId> candidates = CandidateItems(fx.ctx);
-    exact.ScoreCandidateGains(fx.ctx, candidates, 5, false);
+    exact.ScoreCandidateGains(fx.ctx, candidates, 5, /*allow_prune=*/false);
     const double ratio =
         MetricsRegistry::Global().Snapshot().Value("meu.max_gain_bound_ratio");
     const double ceiling = fx.delta->cross_item_influence()
-                               ? 1.0 + off.prune_margin_rel
+                               ? 1.0 + MeuStrategy::kPruneMarginRel
                                : 1.0 + 1e-9;
     EXPECT_LT(ratio, ceiling) << model_name;
     EXPECT_GT(ratio, 0.0) << model_name;
@@ -162,13 +168,10 @@ TEST(MeuPrunedParallelTest, SeededSecondRoundStillMatches) {
   // carry their seed state forward) against a fresh unpruned reference.
   for (const char* model_name : kModels) {
     ScanFixture fx(model_name);
-    MeuScanOptions off;
-    off.prune = false;
     MeuStrategy pruned_1t(1);
     MeuStrategy pruned_4t(4);
     for (int round = 0; round < 3; ++round) {
-      MeuStrategy reference(1, off);
-      const std::vector<ItemId> want = reference.SelectBatch(fx.ctx, 3);
+      const std::vector<ItemId> want = UnprunedSelection(fx.ctx, 3);
       ASSERT_FALSE(want.empty()) << model_name << " round " << round;
       EXPECT_EQ(pruned_1t.SelectBatch(fx.ctx, 3), want)
           << model_name << " round " << round;

@@ -95,6 +95,21 @@ TEST(RngTest, NormalMoments) {
   EXPECT_NEAR(var, 0.25, 0.02);
 }
 
+TEST(RngTest, NormalWithZeroDeviationReturnsTheMean) {
+  // A zero deviation is defined (std::normal_distribution itself requires
+  // stddev > 0) and consumes exactly the engine state of a standard draw.
+  Rng rng(21);
+  Rng twin(21);
+  EXPECT_EQ(rng.Normal(0.7, 0.0), 0.7);
+  twin.Normal(0.0, 1.0);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(rng.Uniform(), twin.Uniform()) << "draw " << i;
+  }
+  EXPECT_EQ(rng.Normal(-3.0, 0.0), -3.0);
+  twin.Normal(0.0, 1.0);
+  EXPECT_EQ(rng.Normal(2.0, 0.5), twin.Normal(2.0, 0.5));
+}
+
 TEST(RngTest, ParetoIsHeavyTailedAndAtLeastOne) {
   Rng rng(13);
   int huge = 0;
