@@ -125,11 +125,6 @@ Result<SessionTrace> FeedbackSession::Run() {
   static Counter* fallback_counter =
       reg.GetCounter("session.fusion_fallback_rounds");
   static Histogram* step_hist = reg.GetHistogram("session.step_seconds");
-  // Per-tenant round timings (not static: the label differs per session).
-  Histogram* tenant_step_hist =
-      options_.metrics_label.empty()
-          ? nullptr
-          : reg.GetHistogram("session.step_seconds." + options_.metrics_label);
   static Histogram* select_hist = reg.GetHistogram("session.select_seconds");
   static Histogram* oracle_hist = reg.GetHistogram("session.oracle_seconds");
   static Histogram* fuse_hist = reg.GetHistogram("session.fuse_seconds");
@@ -149,8 +144,6 @@ Result<SessionTrace> FeedbackSession::Run() {
   static Counter* ingest_rev_counter = reg.GetCounter("ingest.revisions");
   static Counter* ingest_dup_counter = reg.GetCounter("ingest.duplicates");
   static Counter* ingest_batches_counter = reg.GetCounter("ingest.batches");
-  static Counter* ingest_compactions_counter =
-      reg.GetCounter("ingest.compactions");
   static Counter* truth_applied_counter =
       reg.GetCounter("ingest.truth_applied");
   static Counter* truth_deferred_counter =
@@ -178,15 +171,6 @@ Result<SessionTrace> FeedbackSession::Run() {
       return Status::InvalidArgument(
           "streaming session: checkpoint/resume is not supported (a "
           "checkpoint snapshots fusion state against a fixed database)");
-    }
-    if (streaming.compaction.has_value()) {
-      const StreamingOptions& policy = *streaming.compaction;
-      if (policy.compact_tail_fraction <= 0.0 ||
-          policy.compact_tail_fraction > 1.0) {
-        return Status::InvalidArgument(
-            "streaming session: compact_tail_fraction must be in (0, 1]");
-      }
-      streaming.stream->set_options(policy);
     }
   }
 
@@ -349,11 +333,6 @@ Result<SessionTrace> FeedbackSession::Run() {
     // gained claims is zero-extended (the verdict stands; the late claim
     // gets probability 0).
     trace.priors.ExtendForNewClaims(db_);
-
-    if (streaming.stream->CompactIfNeeded()) {
-      ++trace.compactions;
-      ingest_compactions_counter->Add(1);
-    }
 
     std::vector<ItemId> dirty_items;
     std::vector<SourceId> dirty_sources;
@@ -582,9 +561,6 @@ Result<SessionTrace> FeedbackSession::Run() {
       metrics_hist->Observe(metrics_timer.ElapsedSeconds());
     }
     step_hist->Observe(round_timer.ElapsedSeconds());
-    if (tenant_step_hist != nullptr) {
-      tenant_step_hist->Observe(round_timer.ElapsedSeconds());
-    }
     trace.steps.push_back(std::move(step));
     checkpoint_dirty = true;
     VERITAS_RETURN_IF_ERROR(maybe_checkpoint(/*force=*/false));

@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,11 +42,6 @@ struct StreamingSessionConfig {
   /// the oracle hard-fails on unknown truth (GroundTruthOracle): a streamed
   /// item then waits for its truth row instead of aborting the session.
   bool require_known_truth = false;
-  /// When set, replaces the stream's compaction policy at session start —
-  /// how the CLI/replay `--compact-tail-fraction` / `--compact-min-tail`
-  /// flags reach the database the session ticks. Unset keeps whatever policy
-  /// the StreamingDatabase was constructed with.
-  std::optional<StreamingOptions> compaction;
 
   bool active() const { return stream != nullptr; }
 };
@@ -110,11 +104,6 @@ struct SessionOptions {
   /// Status::ResourceExhausted (the supervisor's eviction signal; resuming
   /// from the checkpoint continues bit-exactly).
   ResourceBudget budget;
-  /// Per-tenant observability: when non-empty (the supervisor sets the
-  /// session id), round timings are additionally recorded under
-  /// "session.step_seconds.<label>" so one slow tenant is attributable in a
-  /// shared-process metrics snapshot. "" keeps only the aggregate series.
-  std::string metrics_label;
 };
 
 /// Metrics after one validation round.
@@ -152,7 +141,6 @@ struct SessionTrace {
   std::size_t ingest_revisions = 0;       ///< Last-write-wins rewrites.
   std::size_t truths_applied = 0;         ///< Streamed truth rows landed.
   std::size_t truths_deferred = 0;        ///< Rows still waiting at the end.
-  std::size_t compactions = 0;            ///< Tail-fold rebuilds of the view.
   std::uint64_t final_epoch = 0;          ///< View epoch after the last tick.
 
   /// Relative change of distance after `steps[idx]` vs the initial value, in

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <optional>
+#include <utility>
 
 #include "fusion/accu.h"
 #include "fusion/truthfinder.h"
@@ -29,72 +31,60 @@ Counter* StaleViewCounter() {
 
 }  // namespace
 
+std::optional<std::pair<DeltaFusionEngine::Kind, double>>
+DeltaFusionEngine::KindOf(const FusionModel& model) {
+  if (dynamic_cast<const AccuFusion*>(&model) != nullptr) {
+    return std::make_pair(Kind::kAccu, 0.0);
+  }
+  if (dynamic_cast<const VotingFusion*>(&model) != nullptr) {
+    return std::make_pair(Kind::kVoting, 0.0);
+  }
+  if (const auto* tf = dynamic_cast<const TruthFinderFusion*>(&model)) {
+    return std::make_pair(Kind::kTruthFinder, tf->gamma());
+  }
+  return std::nullopt;
+}
+
 bool DeltaFusionEngine::Supports(const FusionModel& model) {
-  return dynamic_cast<const AccuFusion*>(&model) != nullptr ||
-         dynamic_cast<const VotingFusion*>(&model) != nullptr ||
-         dynamic_cast<const TruthFinderFusion*>(&model) != nullptr;
+  return KindOf(model).has_value();
 }
 
 std::unique_ptr<DeltaFusionEngine> DeltaFusionEngine::Create(
     const Database& db, const FusionModel& model, FusionOptions fusion_opts,
     DeltaFusionOptions delta_opts) {
-  Kind kind;
-  double gamma = 0.0;
-  if (dynamic_cast<const AccuFusion*>(&model) != nullptr) {
-    kind = Kind::kAccu;
-  } else if (dynamic_cast<const VotingFusion*>(&model) != nullptr) {
-    kind = Kind::kVoting;
-  } else if (const auto* tf =
-                 dynamic_cast<const TruthFinderFusion*>(&model)) {
-    kind = Kind::kTruthFinder;
-    gamma = tf->gamma();
-  } else {
-    return nullptr;
-  }
-  return std::unique_ptr<DeltaFusionEngine>(new DeltaFusionEngine(
-      db, model, kind, gamma, fusion_opts, delta_opts,
-      /*external_view=*/nullptr));
+  return CreateOver(db, /*view=*/nullptr, model, fusion_opts, delta_opts);
 }
 
 std::unique_ptr<DeltaFusionEngine> DeltaFusionEngine::Create(
     const StreamingDatabase& stream, const FusionModel& model,
     FusionOptions fusion_opts, DeltaFusionOptions delta_opts) {
-  Kind kind;
-  double gamma = 0.0;
-  if (dynamic_cast<const AccuFusion*>(&model) != nullptr) {
-    kind = Kind::kAccu;
-  } else if (dynamic_cast<const VotingFusion*>(&model) != nullptr) {
-    kind = Kind::kVoting;
-  } else if (const auto* tf =
-                 dynamic_cast<const TruthFinderFusion*>(&model)) {
-    kind = Kind::kTruthFinder;
-    gamma = tf->gamma();
-  } else {
-    return nullptr;
-  }
+  return CreateOver(stream.db(), &stream.compiled(), model, fusion_opts,
+                    delta_opts);
+}
+
+std::unique_ptr<DeltaFusionEngine> DeltaFusionEngine::CreateOver(
+    const Database& db, const CompiledDatabase* view, const FusionModel& model,
+    FusionOptions fusion_opts, DeltaFusionOptions delta_opts) {
+  const auto kind = KindOf(model);
+  if (!kind.has_value()) return nullptr;
   return std::unique_ptr<DeltaFusionEngine>(new DeltaFusionEngine(
-      stream.db(), model, kind, gamma, fusion_opts, delta_opts,
-      &stream.compiled()));
+      db, model, kind->first, kind->second, fusion_opts, delta_opts, view));
 }
 
 DeltaFusionEngine::DeltaFusionEngine(const Database& db,
                                      const FusionModel& model, Kind kind,
                                      double gamma, FusionOptions fusion_opts,
                                      DeltaFusionOptions delta_opts,
-                                     const CompiledDatabase* external_view)
+                                     const CompiledDatabase* view)
     : db_(db),
       model_(model),
       kind_(kind),
       gamma_(gamma),
       fusion_opts_(fusion_opts),
-      delta_opts_(delta_opts) {
-  if (external_view != nullptr) {
-    compiled_ = external_view;
-  } else {
-    owned_compiled_ = std::make_unique<CompiledDatabase>(db);
-    compiled_ = owned_compiled_.get();
-  }
-}
+      delta_opts_(delta_opts),
+      owned_compiled_(view == nullptr ? std::make_unique<CompiledDatabase>(db)
+                                      : nullptr),
+      compiled_(view != nullptr ? view : owned_compiled_.get()) {}
 
 double DeltaFusionEngine::ScoreTerm(double accuracy) const {
   const double a = ClampAccuracy(accuracy);
@@ -121,18 +111,11 @@ DeltaFusionEngine::BaseState DeltaFusionEngine::PrepareBase(
   for (ItemId i = 0; i < c.num_items(); ++i) {
     const std::vector<double>& p = base.item_probs(i);
     assert(p.size() == c.item_num_claims(i));
+    const std::uint32_t g = c.claim_offset(i);
     double h = 0.0;
-    if (c.item_claims_flat(i)) {
-      const std::uint32_t g = c.claim_offset(i);
-      for (std::size_t k = 0; k < p.size(); ++k) {
-        s.probs[g + k] = p[k];
-        h += EntropyTerm(p[k]);
-      }
-    } else {
-      for (std::size_t k = 0; k < p.size(); ++k) {
-        s.probs[c.global_claim_id(i, k)] = p[k];
-        h += EntropyTerm(p[k]);
-      }
+    for (std::size_t k = 0; k < p.size(); ++k) {
+      s.probs[g + k] = p[k];
+      h += EntropyTerm(p[k]);
     }
     s.item_entropy[i] = h;
     s.total_entropy += h;
@@ -141,11 +124,14 @@ DeltaFusionEngine::BaseState DeltaFusionEngine::PrepareBase(
   for (double& a : s.accuracies) a = ClampAccuracy(a);
   s.terms.resize(c.num_sources());
   s.source_sums.assign(c.num_sources(), 0.0);
+  const std::vector<std::uint32_t>& vote_claims = c.source_vote_claims();
   for (SourceId j = 0; j < c.num_sources(); ++j) {
     s.terms[j] = ScoreTerm(s.accuracies[j]);
     double sum = 0.0;
-    c.ForEachSourceVote(
-        j, [&](ItemId, std::uint32_t g) { sum += s.probs[g]; });
+    for (std::uint32_t v = c.source_votes_begin(j); v < c.source_votes_end(j);
+         ++v) {
+      sum += s.probs[vote_claims[v]];
+    }
     s.source_sums[j] = sum;
   }
   return s;
@@ -180,37 +166,27 @@ void DeltaFusionEngine::ApplyPin(Workspace& ws, ItemId item, const double* pin,
     ws.touched_items_.push_back(item);
   }
   // Claim deltas, then vote-sum updates, then the new probabilities.
+  const std::uint32_t g = c.claim_offset(item);
   ws.scores_.resize(n);
   double h = 0.0;
-  if (c.item_claims_flat(item)) {
-    const std::uint32_t g = c.claim_offset(item);
-    for (std::size_t k = 0; k < n; ++k) {
-      ws.scores_[k] = pin[k] - ws.prob_[g + k];
-      h += EntropyTerm(pin[k]);
-    }
-  } else {
-    for (std::size_t k = 0; k < n; ++k) {
-      ws.scores_[k] = pin[k] - ws.prob_[c.global_claim_id(item, k)];
-      h += EntropyTerm(pin[k]);
-    }
+  for (std::size_t k = 0; k < n; ++k) {
+    ws.scores_[k] = pin[k] - ws.prob_[g + k];
+    h += EntropyTerm(pin[k]);
   }
-  c.ForEachItemVote(item, [&](SourceId j, ClaimIndex k) {
-    const double dp = ws.scores_[k];
-    if (dp == 0.0) return;
+  const std::vector<SourceId>& vote_sources = c.item_vote_sources();
+  const std::vector<ClaimIndex>& vote_claims = c.item_vote_claims();
+  for (std::uint32_t v = c.item_votes_begin(item); v < c.item_votes_end(item);
+       ++v) {
+    const double dp = ws.scores_[vote_claims[v]];
+    if (dp == 0.0) continue;
+    const SourceId j = vote_sources[v];
     ws.sum_[j] += dp;
     if (ws.source_touch_tick_[j] != ws.ticket_) {
       ws.source_touch_tick_[j] = ws.ticket_;
       ws.touched_sources_.push_back(j);
     }
-  });
-  if (c.item_claims_flat(item)) {
-    const std::uint32_t g = c.claim_offset(item);
-    for (std::size_t k = 0; k < n; ++k) ws.prob_[g + k] = pin[k];
-  } else {
-    for (std::size_t k = 0; k < n; ++k) {
-      ws.prob_[c.global_claim_id(item, k)] = pin[k];
-    }
   }
+  for (std::size_t k = 0; k < n; ++k) ws.prob_[g + k] = pin[k];
   ws.item_entropy_[item] = h;
 }
 
@@ -218,7 +194,6 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
   const CompiledDatabase& c = *compiled_;
   const std::size_t m = ws.frontier_.size();
   if (m == 0) return;
-  const bool view_flat = c.flat();
   const std::vector<SourceId>& claim_sources = c.claim_sources();
 
   // Pass 0: lay the frontier's claims out flat (one prefix-sum of offsets),
@@ -241,66 +216,36 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
   const double* term = ws.term_.data();
   double* scores = ws.frontier_scores_.data();
   if (kind_ == Kind::kAccu) {
-    if (view_flat) {
-      for (std::size_t f = 0; f < m; ++f) {
-        const ItemId item = ws.frontier_[f];
-        const std::uint32_t g = c.claim_offset(item);
-        const std::size_t n = c.item_base_claims(item);
-        const double lf = c.log_false_values(item);
-        double* out = scores + ws.frontier_offsets_[f];
-        for (std::size_t k = 0; k < n; ++k) {
-          const std::uint32_t begin = c.claim_sources_begin(g + k);
-          const std::uint32_t end = c.claim_sources_end(g + k);
-          double score = static_cast<double>(end - begin) * lf;
-          for (std::uint32_t v = begin; v < end; ++v) {
-            score += term[claim_sources[v]];
-          }
-          out[k] = score;
+    for (std::size_t f = 0; f < m; ++f) {
+      const ItemId item = ws.frontier_[f];
+      const std::uint32_t g = c.claim_offset(item);
+      const std::size_t n = c.item_num_claims(item);
+      const double lf = c.log_false_values(item);
+      double* out = scores + ws.frontier_offsets_[f];
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::uint32_t begin = c.claim_sources_begin(g + k);
+        const std::uint32_t end = c.claim_sources_end(g + k);
+        double score = static_cast<double>(end - begin) * lf;
+        for (std::uint32_t v = begin; v < end; ++v) {
+          score += term[claim_sources[v]];
         }
-      }
-    } else {
-      for (std::size_t f = 0; f < m; ++f) {
-        const ItemId item = ws.frontier_[f];
-        const std::size_t n = c.item_num_claims(item);
-        const double lf = c.log_false_values(item);
-        double* out = scores + ws.frontier_offsets_[f];
-        for (std::size_t k = 0; k < n; ++k) {
-          const std::uint32_t g = c.global_claim_id(item, k);
-          double score =
-              static_cast<double>(c.claim_num_sources(g)) * lf;
-          c.ForEachClaimSource(g, [&](SourceId j) { score += term[j]; });
-          out[k] = score;
-        }
+        out[k] = score;
       }
     }
   } else if (kind_ == Kind::kTruthFinder) {
-    if (view_flat) {
-      for (std::size_t f = 0; f < m; ++f) {
-        const ItemId item = ws.frontier_[f];
-        const std::uint32_t g = c.claim_offset(item);
-        const std::size_t n = c.item_base_claims(item);
-        double* out = scores + ws.frontier_offsets_[f];
-        for (std::size_t k = 0; k < n; ++k) {
-          const std::uint32_t begin = c.claim_sources_begin(g + k);
-          const std::uint32_t end = c.claim_sources_end(g + k);
-          double sigma = 0.0;
-          for (std::uint32_t v = begin; v < end; ++v) {
-            sigma += term[claim_sources[v]];
-          }
-          out[k] = sigma;
+    for (std::size_t f = 0; f < m; ++f) {
+      const ItemId item = ws.frontier_[f];
+      const std::uint32_t g = c.claim_offset(item);
+      const std::size_t n = c.item_num_claims(item);
+      double* out = scores + ws.frontier_offsets_[f];
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::uint32_t begin = c.claim_sources_begin(g + k);
+        const std::uint32_t end = c.claim_sources_end(g + k);
+        double sigma = 0.0;
+        for (std::uint32_t v = begin; v < end; ++v) {
+          sigma += term[claim_sources[v]];
         }
-      }
-    } else {
-      for (std::size_t f = 0; f < m; ++f) {
-        const ItemId item = ws.frontier_[f];
-        const std::size_t n = c.item_num_claims(item);
-        double* out = scores + ws.frontier_offsets_[f];
-        for (std::size_t k = 0; k < n; ++k) {
-          const std::uint32_t g = c.global_claim_id(item, k);
-          double sigma = 0.0;
-          c.ForEachClaimSource(g, [&](SourceId j) { sigma += term[j]; });
-          out[k] = sigma;
-        }
+        out[k] = sigma;
       }
     }
   } else {  // kVoting: scores are live per-claim vote counts. Voting items
@@ -309,11 +254,11 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
             // this branch recomputes exactly VotingFusion's share update.
     for (std::size_t f = 0; f < m; ++f) {
       const ItemId item = ws.frontier_[f];
+      const std::uint32_t g = c.claim_offset(item);
       const std::size_t n = c.item_num_claims(item);
       double* out = scores + ws.frontier_offsets_[f];
       for (std::size_t k = 0; k < n; ++k) {
-        out[k] = static_cast<double>(
-            c.claim_num_sources(c.global_claim_id(item, k)));
+        out[k] = static_cast<double>(c.claim_num_sources(g + k));
       }
     }
   }
@@ -393,31 +338,27 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
 
   // Pass 3: vote-sum delta scatter + writeback, item by item in frontier
   // order — the accumulation order into sum_ is exactly the old loop's.
+  const std::vector<SourceId>& vote_sources = c.item_vote_sources();
+  const std::vector<ClaimIndex>& vote_claims = c.item_vote_claims();
   for (std::size_t f = 0; f < m; ++f) {
     const ItemId item = ws.frontier_[f];
     const std::size_t off = ws.frontier_offsets_[f];
     const std::size_t n = ws.frontier_offsets_[f + 1] - off;
     const double* p = probs + off;
-    const bool item_flat = c.item_claims_flat(item);
     const std::uint32_t g = c.claim_offset(item);
-    c.ForEachItemVote(item, [&](SourceId j, ClaimIndex k) {
-      const std::uint32_t gk =
-          item_flat ? g + k : c.global_claim_id(item, k);
-      const double dp = p[k] - ws.prob_[gk];
-      if (dp == 0.0) return;
+    for (std::uint32_t v = c.item_votes_begin(item);
+         v < c.item_votes_end(item); ++v) {
+      const ClaimIndex k = vote_claims[v];
+      const double dp = p[k] - ws.prob_[g + k];
+      if (dp == 0.0) continue;
+      const SourceId j = vote_sources[v];
       ws.sum_[j] += dp;
       if (ws.source_touch_tick_[j] != ws.ticket_) {
         ws.source_touch_tick_[j] = ws.ticket_;
         ws.touched_sources_.push_back(j);
       }
-    });
-    if (item_flat) {
-      for (std::size_t k = 0; k < n; ++k) ws.prob_[g + k] = p[k];
-    } else {
-      for (std::size_t k = 0; k < n; ++k) {
-        ws.prob_[c.global_claim_id(item, k)] = p[k];
-      }
     }
+    for (std::size_t k = 0; k < n; ++k) ws.prob_[g + k] = p[k];
     ws.item_entropy_[item] = ws.frontier_entropy_[f];
   }
 }
@@ -486,19 +427,22 @@ bool DeltaFusionEngine::Propagate(Workspace& ws, const PriorSet& priors,
           }
           continue;
         }
-        c.ForEachSourceVote(j, [&](ItemId i, std::uint32_t) {
-          if (ws.item_touch_tick_[i] == ws.ticket_) return;
+        const std::vector<ItemId>& vote_items = c.source_vote_items();
+        for (std::uint32_t v = c.source_votes_begin(j);
+             v < c.source_votes_end(j); ++v) {
+          const ItemId i = vote_items[v];
+          if (ws.item_touch_tick_[i] == ws.ticket_) continue;
           if (i == extra_pin || c.item_num_claims(i) <= 1 || priors.Has(i)) {
-            return;
+            continue;
           }
           // Shard confinement: the ripple stops at the scope boundary. The
           // source's accuracy/sum still update from in-scope prob changes —
           // only the re-enrollment of foreign items is cut.
-          if (scope != nullptr && !scope->Contains(i)) return;
+          if (scope != nullptr && !scope->Contains(i)) continue;
           ws.item_touch_tick_[i] = ws.ticket_;
           ws.touched_items_.push_back(i);
           ws.frontier_.push_back(i);
-        });
+        }
       }
     }
 
@@ -596,15 +540,9 @@ FusionResult DeltaFusionEngine::FuseWithPins(const FusionResult& base,
   FusionResult out = base;
   for (ItemId i : ws.touched_items_) {
     std::vector<double>* probs = out.mutable_item_probs(i);
-    if (c.item_claims_flat(i)) {
-      const std::uint32_t g = c.claim_offset(i);
-      for (std::size_t k = 0; k < probs->size(); ++k) {
-        (*probs)[k] = ws.prob_[g + k];
-      }
-    } else {
-      for (std::size_t k = 0; k < probs->size(); ++k) {
-        (*probs)[k] = ws.prob_[c.global_claim_id(i, k)];
-      }
+    const std::uint32_t g = c.claim_offset(i);
+    for (std::size_t k = 0; k < probs->size(); ++k) {
+      (*probs)[k] = ws.prob_[g + k];
     }
   }
   std::vector<double>* accuracies = out.mutable_accuracies();
@@ -625,7 +563,7 @@ double DeltaFusionEngine::EntropyAfterExactPin(
   lookahead_pins->Add(1);
   const CompiledDatabase& c = *compiled_;
   // Epoch guard: the base flattened a particular view generation; an ingest
-  // batch (or compaction) since then moved claim/vote addresses under it.
+  // batch since then rebuilt the view and moved claim/vote addresses.
   // Using it would read through the stale layout, so fail loudly in debug
   // and degrade to "no information" (the unpinned entropy) in release —
   // never a silently wrong lookahead score.
@@ -665,18 +603,9 @@ double DeltaFusionEngine::EntropyAfterExactPin(
 
   // Restore the touched entries so the workspace mirrors the base again.
   for (ItemId i : ws.touched_items_) {
+    const std::uint32_t g = c.claim_offset(i);
     const std::size_t ni = c.item_num_claims(i);
-    if (c.item_claims_flat(i)) {
-      const std::uint32_t g = c.claim_offset(i);
-      for (std::size_t k = 0; k < ni; ++k) {
-        ws.prob_[g + k] = base.probs[g + k];
-      }
-    } else {
-      for (std::size_t k = 0; k < ni; ++k) {
-        const std::uint32_t gk = c.global_claim_id(i, k);
-        ws.prob_[gk] = base.probs[gk];
-      }
-    }
+    for (std::size_t k = 0; k < ni; ++k) ws.prob_[g + k] = base.probs[g + k];
     ws.item_entropy_[i] = base.item_entropy[i];
   }
   for (SourceId j : ws.touched_sources_) {
@@ -797,15 +726,9 @@ Result<FusionResult> DeltaFusionEngine::FuseWithAppends(
   FusionResult out = std::move(seed);
   for (ItemId i : ws.touched_items_) {
     std::vector<double>* probs = out.mutable_item_probs(i);
-    if (c.item_claims_flat(i)) {
-      const std::uint32_t g = c.claim_offset(i);
-      for (std::size_t k = 0; k < probs->size(); ++k) {
-        (*probs)[k] = ws.prob_[g + k];
-      }
-    } else {
-      for (std::size_t k = 0; k < probs->size(); ++k) {
-        (*probs)[k] = ws.prob_[c.global_claim_id(i, k)];
-      }
+    const std::uint32_t g = c.claim_offset(i);
+    for (std::size_t k = 0; k < probs->size(); ++k) {
+      (*probs)[k] = ws.prob_[g + k];
     }
   }
   std::vector<double>* out_acc = out.mutable_accuracies();

@@ -35,6 +35,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "fusion/fusion_model.h"
@@ -243,10 +245,22 @@ class DeltaFusionEngine {
  private:
   enum class Kind { kAccu, kVoting, kTruthFinder };
 
+  /// The one model-kind dispatch behind Supports and both Create overloads:
+  /// the engine kind plus TruthFinder's gamma (0 otherwise), or nullopt for
+  /// an unsupported model.
+  static std::optional<std::pair<Kind, double>> KindOf(
+      const FusionModel& model);
+  /// Builds an engine over `view`, or over a private view of `db` when
+  /// `view` is null; null when the model is unsupported.
+  static std::unique_ptr<DeltaFusionEngine> CreateOver(
+      const Database& db, const CompiledDatabase* view,
+      const FusionModel& model, FusionOptions fusion_opts,
+      DeltaFusionOptions delta_opts);
+
   DeltaFusionEngine(const Database& db, const FusionModel& model, Kind kind,
                     double gamma, FusionOptions fusion_opts,
                     DeltaFusionOptions delta_opts,
-                    const CompiledDatabase* external_view);
+                    const CompiledDatabase* view);
 
   double ScoreTerm(double accuracy) const;
   /// Copies `base` into the workspace's flat working arrays.

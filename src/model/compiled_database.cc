@@ -1,8 +1,7 @@
 #include "model/compiled_database.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <string>
 
 namespace veritas {
 
@@ -15,9 +14,9 @@ double LogFalseValues(std::size_t num_claims) {
 
 }  // namespace
 
-CompiledDatabase::CompiledDatabase(const Database& db) { BuildBase(db); }
+CompiledDatabase::CompiledDatabase(const Database& db) { Build(db); }
 
-void CompiledDatabase::BuildBase(const Database& db) {
+void CompiledDatabase::Build(const Database& db) {
   num_items_ = db.num_items();
   num_sources_ = db.num_sources();
   num_claims_ = db.num_claims();
@@ -76,18 +75,6 @@ void CompiledDatabase::BuildBase(const Database& db) {
     source_vote_offsets_.push_back(
         static_cast<std::uint32_t>(source_vote_items_.size()));
   }
-
-  base_items_ = num_items_;
-  base_sources_ = num_sources_;
-  base_claims_ = num_claims_;
-  tail_observations_ = 0;
-  tombstones_ = 0;
-  tail_item_claims_.clear();
-  tail_claim_sources_.clear();
-  claim_source_dead_.clear();
-  removed_claim_sources_.clear();
-  tail_item_votes_.clear();
-  tail_source_votes_.clear();
 }
 
 Status CompiledDatabase::CheckEpoch(std::uint64_t expected) const {
@@ -98,136 +85,9 @@ Status CompiledDatabase::CheckEpoch(std::uint64_t expected) const {
       std::to_string(epoch_));
 }
 
-void CompiledDatabase::Append(const Database& db, const CompiledDelta& delta) {
-  // 1. Extend the offset arrays so every live id stays indexable; entities
-  //    appended since the last compaction get empty base ranges.
-  assert(db.num_items() >= num_items_ && db.num_sources() >= num_sources_);
-  while (num_items_ < db.num_items()) {
-    claim_offsets_.push_back(claim_offsets_.back());
-    log_false_values_.push_back(0.0);
-    item_vote_offsets_.push_back(item_vote_offsets_.back());
-    ++num_items_;
-  }
-  while (num_sources_ < db.num_sources()) {
-    source_vote_offsets_.push_back(source_vote_offsets_.back());
-    ++num_sources_;
-  }
-
-  // 2. Assign global ids to new claims, consecutively past the current top,
-  //    so claim_source_offsets_ stays a valid (empty-range) index for them.
-  for (const CompiledDelta::NewClaim& nc : delta.new_claims) {
-    assert(nc.item < num_items_);
-    const std::uint32_t g = static_cast<std::uint32_t>(num_claims_);
-    tail_item_claims_[nc.item].push_back(g);
-    claim_source_offsets_.push_back(claim_source_offsets_.back());
-    ++num_claims_;
-    log_false_values_[nc.item] = LogFalseValues(item_num_claims(nc.item));
-  }
-
-  // 3. Apply vote operations.
-  for (const CompiledDelta::VoteOp& op : delta.votes) {
-    assert(op.item < num_items_ && op.source < num_sources_);
-    const std::uint32_t g_new = global_claim_id(op.item, op.new_claim);
-    if (op.old_claim == kInvalidClaim) {
-      // Fresh vote: pure tail insertion in all three indexes.
-      tail_claim_sources_[g_new].push_back(op.source);
-      tail_item_votes_[op.item].emplace_back(op.source, op.new_claim);
-      tail_source_votes_[op.source].emplace_back(op.item, g_new);
-      ++tail_observations_;
-      ++num_observations_;
-      continue;
-    }
-
-    // Revision: the vote's CSR slots survive (only the claim changes), so
-    // rewrite item/source entries in place wherever they live, and move the
-    // claim->sources support from old to new.
-    const std::uint32_t g_old = global_claim_id(op.item, op.old_claim);
-
-    // claim -> sources: drop support for the old claim...
-    bool removed = false;
-    const auto tcs = tail_claim_sources_.find(g_old);
-    if (tcs != tail_claim_sources_.end()) {
-      auto& sources = tcs->second;
-      const auto pos = std::find(sources.begin(), sources.end(), op.source);
-      if (pos != sources.end()) {
-        sources.erase(pos);
-        --tail_observations_;
-        removed = true;
-      }
-    }
-    if (!removed) {
-      if (claim_source_dead_.empty()) {
-        claim_source_dead_.assign(claim_sources_.size(), 0);
-      }
-      for (std::uint32_t v = claim_source_offsets_[g_old];
-           v < claim_source_offsets_[g_old + 1]; ++v) {
-        if (claim_sources_[v] == op.source && !claim_source_dead_[v]) {
-          claim_source_dead_[v] = 1;
-          ++removed_claim_sources_[g_old];
-          ++tombstones_;
-          removed = true;
-          break;
-        }
-      }
-    }
-    assert(removed);
-    // ...and add it to the new claim (tail entry either way).
-    tail_claim_sources_[g_new].push_back(op.source);
-    if (removed) ++tail_observations_;
-
-    // item -> votes: rewrite the local claim index in place.
-    bool rewritten = false;
-    for (std::uint32_t v = item_vote_offsets_[op.item];
-         v < item_vote_offsets_[op.item + 1]; ++v) {
-      if (item_vote_sources_[v] == op.source) {
-        item_vote_claims_[v] = op.new_claim;
-        rewritten = true;
-        break;
-      }
-    }
-    if (!rewritten) {
-      for (auto& [source, claim] : tail_item_votes_[op.item]) {
-        if (source == op.source) {
-          claim = op.new_claim;
-          rewritten = true;
-          break;
-        }
-      }
-    }
-    assert(rewritten);
-
-    // source -> votes: rewrite the global claim id in place.
-    rewritten = false;
-    for (std::uint32_t v = source_vote_offsets_[op.source];
-         v < source_vote_offsets_[op.source + 1]; ++v) {
-      if (source_vote_items_[v] == op.item) {
-        source_vote_claims_[v] = g_new;
-        rewritten = true;
-        break;
-      }
-    }
-    if (!rewritten) {
-      for (auto& [item, g] : tail_source_votes_[op.source]) {
-        if (item == op.item) {
-          g = g_new;
-          rewritten = true;
-          break;
-        }
-      }
-    }
-    assert(rewritten);
-  }
-
-  assert(num_items_ == db.num_items() && num_sources_ == db.num_sources() &&
-         num_claims_ == db.num_claims() &&
-         num_observations_ == db.num_observations());
+void CompiledDatabase::Rebuild(const Database& db) {
+  Build(db);
   ++epoch_;
-}
-
-void CompiledDatabase::Compact(const Database& db) {
-  BuildBase(db);
-  ++compactions_;
-  ++epoch_;  // Tail addresses (and base global-id layout) changed.
 }
 
 }  // namespace veritas

@@ -11,17 +11,9 @@ ShardPartition::ShardPartition(const CompiledDatabase& compiled,
   epoch_ = compiled.epoch();
   const std::size_t n = compiled.num_items();
 
-  // Vote count per item, tail-aware (appended votes count toward balance).
   std::vector<std::uint32_t> votes(n, 0);
-  const bool flat = compiled.flat();
   for (ItemId i = 0; i < n; ++i) {
-    if (flat) {
-      votes[i] = compiled.item_votes_end(i) - compiled.item_votes_begin(i);
-    } else {
-      std::uint32_t count = 0;
-      compiled.ForEachItemVote(i, [&](SourceId, ClaimIndex) { ++count; });
-      votes[i] = count;
-    }
+    votes[i] = compiled.item_votes_end(i) - compiled.item_votes_begin(i);
   }
 
   // LPT greedy: heaviest item first into the lightest shard. Sorting by

@@ -39,8 +39,8 @@ bool VectorFeed::Next(IngestBatch* out) {
   return true;
 }
 
-StreamingDatabase::StreamingDatabase(Database db, StreamingOptions options)
-    : db_(std::move(db)), compiled_(db_), options_(options) {}
+StreamingDatabase::StreamingDatabase(Database db)
+    : db_(std::move(db)), compiled_(db_) {}
 
 ItemId StreamingDatabase::InternItem(const std::string& name,
                                      IngestStats* stats) {
@@ -68,13 +68,14 @@ SourceId StreamingDatabase::InternSource(const std::string& name,
 }
 
 Result<IngestStats> StreamingDatabase::AppendBatch(const IngestBatch& batch) {
-  IngestStats stats;
-  CompiledDelta delta;
   for (const StreamObservation& obs : batch.observations) {
     if (obs.source.empty() || obs.item.empty() || obs.value.empty()) {
       return Status::InvalidArgument(
           "stream observation with empty source/item/value");
     }
+  }
+  IngestStats stats;
+  for (const StreamObservation& obs : batch.observations) {
     const ItemId i = InternItem(obs.item, &stats);
     const SourceId j = InternSource(obs.source, &stats);
     Item& item = db_.items_[i];
@@ -91,7 +92,6 @@ Result<IngestStats> StreamingDatabase::AppendBatch(const IngestBatch& batch) {
       claim = static_cast<ClaimIndex>(item.claims.size());
       item.claims.push_back(Claim{obs.value, {}});
       ++db_.num_claims_;
-      delta.new_claims.push_back(CompiledDelta::NewClaim{i});
       ++stats.new_claims;
       dirty_items_.insert(i);
     }
@@ -125,7 +125,6 @@ Result<IngestStats> StreamingDatabase::AppendBatch(const IngestBatch& batch) {
           [](const ItemVote& v, SourceId target) { return v.source < target; });
       assert(ipos != ivotes.end() && ipos->source == j);
       ipos->claim = claim;
-      delta.votes.push_back(CompiledDelta::VoteOp{j, i, old_claim, claim});
       ++stats.revisions;
     } else {
       // Fresh vote: sorted insertion into all three Database indexes.
@@ -140,8 +139,6 @@ Result<IngestStats> StreamingDatabase::AppendBatch(const IngestBatch& batch) {
                            }),
           ItemVote{j, claim});
       ++db_.num_observations_;
-      delta.votes.push_back(
-          CompiledDelta::VoteOp{j, i, kInvalidClaim, claim});
       ++stats.fresh;
     }
     dirty_items_.insert(i);
@@ -150,8 +147,12 @@ Result<IngestStats> StreamingDatabase::AppendBatch(const IngestBatch& batch) {
 
   // A batch of pure duplicates changes nothing — keep the epoch (and every
   // derived base state) valid rather than invalidating readers for a no-op.
-  if (!delta.new_claims.empty() || !delta.votes.empty()) {
-    compiled_.Append(db_, delta);
+  // Anything else rebuilds the whole view: each tick already re-flattens the
+  // whole fused state (DeltaFusionEngine::FuseWithAppends), so an O(database)
+  // rebuild costs nothing asymptotically and keeps every reader on the flat
+  // CSR loops (DESIGN.md §5g).
+  if (stats.fresh + stats.revisions + stats.new_claims > 0) {
+    compiled_.Rebuild(db_);
   }
 
   totals_.fresh += stats.fresh;
@@ -162,20 +163,6 @@ Result<IngestStats> StreamingDatabase::AppendBatch(const IngestBatch& batch) {
   totals_.new_claims += stats.new_claims;
   return stats;
 }
-
-bool StreamingDatabase::CompactIfNeeded() {
-  const std::size_t tail =
-      compiled_.tail_observations() + compiled_.tombstones();
-  if (tail < options_.min_tail_before_compact) return false;
-  const double fraction =
-      static_cast<double>(tail) /
-      static_cast<double>(std::max<std::size_t>(1, db_.num_observations()));
-  if (fraction < options_.compact_tail_fraction) return false;
-  compiled_.Compact(db_);
-  return true;
-}
-
-void StreamingDatabase::Compact() { compiled_.Compact(db_); }
 
 void StreamingDatabase::TakeDirty(std::vector<ItemId>* items,
                                   std::vector<SourceId>* sources) {

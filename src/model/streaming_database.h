@@ -1,19 +1,19 @@
 // Streaming ingestion: a StreamingDatabase owns a Database plus its
 // CompiledDatabase view and appends (source, item, value) observations in
-// batches without rebuilding either. Each batch
+// batches. Each batch
 //   * mutates the Database in place (new items/sources/claims on demand,
 //     every sorted invariant preserved, last-write-wins revisions),
-//   * forwards the structural delta to CompiledDatabase::Append so the flat
-//     view grows a tail segment and bumps its epoch,
+//   * rebuilds the flat compiled view in place when anything structural
+//     changed, bumping its epoch once,
 //   * records which items/sources changed so an incremental fusion engine
 //     can seed its frontier from exactly the dirty set.
 // Readers holding `db()` / `compiled()` references stay valid across batches
-// (ingest only appends or rewrites in place); positional state *derived*
-// from the view must pin the epoch it saw (see CompiledDatabase::CheckEpoch).
+// (both objects keep their address); positional state *derived* from the
+// view must pin the epoch it saw (see CompiledDatabase::CheckEpoch).
 //
-// Single-writer: AppendBatch/CompactIfNeeded must not race with readers.
-// The feedback session interleaves ingest ticks with validation rounds on
-// one thread; parallel lookahead workers only run between ticks.
+// Single-writer: AppendBatch must not race with readers. The feedback
+// session interleaves ingest ticks with validation rounds on one thread;
+// parallel lookahead workers only run between ticks.
 #ifndef VERITAS_MODEL_STREAMING_DATABASE_H_
 #define VERITAS_MODEL_STREAMING_DATABASE_H_
 
@@ -90,35 +90,27 @@ struct IngestStats {
   std::size_t new_claims = 0;
 };
 
-struct StreamingOptions {
-  /// Compact when tail entries (tail votes + tombstones) exceed this
-  /// fraction of total observations...
-  double compact_tail_fraction = 0.25;
-  /// ...but never before the tail has at least this many entries (small
-  /// databases would otherwise compact on every batch).
-  std::size_t min_tail_before_compact = 256;
-};
-
 /// Owner of a Database + CompiledDatabase pair that grows by appends.
 class StreamingDatabase {
  public:
-  explicit StreamingDatabase(Database db, StreamingOptions options = {});
+  explicit StreamingDatabase(Database db);
 
   const Database& db() const { return db_; }
   const CompiledDatabase& compiled() const { return compiled_; }
   std::uint64_t epoch() const { return compiled_.epoch(); }
 
   /// Applies one batch of observations (truth rows in the batch are ignored
-  /// here — callers apply them). Returns per-batch counts. Fails only on
-  /// malformed input (empty source/item names).
+  /// here — callers apply them) and, when the batch changed any vote or
+  /// claim, rebuilds compiled() in place: the epoch advances by exactly one
+  /// per structural batch and stays put for a batch of pure duplicates.
+  /// Returns per-batch counts. Fails only on malformed input (an empty
+  /// source/item/value), and then before applying any of the batch.
   Result<IngestStats> AppendBatch(const IngestBatch& batch);
 
-  /// Folds tail segments into a fresh base when the tail outgrew the policy
-  /// in StreamingOptions. Returns true when a compaction ran (epoch bumped,
-  /// all derived positional state is stale).
-  bool CompactIfNeeded();
-  /// Unconditional compaction (testing / shutdown).
-  void Compact();
+  /// Always false. The view is rebuilt by AppendBatch, so there is nothing
+  /// left to fold; kept only so callers written against the old appended-
+  /// tail view still compile. New code must not call it.
+  bool CompactIfNeeded() { return false; }
 
   /// Moves the accumulated dirty sets (sorted, unique) out, clearing them.
   /// Dirty = items/sources whose votes or claim sets changed since the last
@@ -128,18 +120,12 @@ class StreamingDatabase {
   /// Lifetime totals across all batches.
   const IngestStats& totals() const { return totals_; }
 
-  /// Compaction policy. Replacing it takes effect at the next
-  /// CompactIfNeeded; sessions apply StreamingSessionConfig::compaction here.
-  const StreamingOptions& options() const { return options_; }
-  void set_options(StreamingOptions options) { options_ = options; }
-
  private:
   ItemId InternItem(const std::string& name, IngestStats* stats);
   SourceId InternSource(const std::string& name, IngestStats* stats);
 
   Database db_;
   CompiledDatabase compiled_;
-  StreamingOptions options_;
   IngestStats totals_;
   std::unordered_set<ItemId> dirty_items_;
   std::unordered_set<SourceId> dirty_sources_;

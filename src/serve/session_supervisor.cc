@@ -346,10 +346,6 @@ void SessionSupervisor::WorkerLoop() {
         break;
       case SessionOutcome::kEvicted:
         evicted->Add(1);
-        // Per-tenant eviction counter (registry lookup, not static: the id
-        // differs per event). Lets an operator see *which* session is being
-        // squeezed, not just that someone is.
-        reg.GetCounter("supervisor.evicted." + report.id)->Add(1);
         break;
       case SessionOutcome::kCancelled:
         cancelled->Add(1);
@@ -390,7 +386,6 @@ void SessionSupervisor::WatchdogLoop() {
           run.token.RequestHardStop();
           run.escalation = 2;
           hard->Add(1);
-          reg.GetCounter("supervisor.watchdog_hard." + entry.first)->Add(1);
         }
         continue;
       }
@@ -407,7 +402,6 @@ void SessionSupervisor::WatchdogLoop() {
         run.escalation = 1;
         run.escalated_at = now;
         graceful->Add(1);
-        reg.GetCounter("supervisor.watchdog_graceful." + entry.first)->Add(1);
       }
     }
   }
@@ -488,7 +482,6 @@ SessionReport SessionSupervisor::RunOne(const Pending& item, Running* run) {
   session_options.deadline = run->deadline;
   session_options.budget =
       spec.budget.limited() ? spec.budget : options_.default_budget;
-  session_options.metrics_label = spec.id;
   report.resumed = FileExists(session_options.resume_path);
 
   Rng rng(spec.seed);

@@ -1,7 +1,8 @@
-// Streaming ingestion: epoch-based CSR appends (model/streaming_database)
-// plus the synthetic stream generator that feeds them. The structural
-// invariant under test everywhere: a view grown by appends answers every
-// query exactly like a fresh CompiledDatabase over the same Database.
+// Streaming ingestion: epoch-stamped in-place view rebuilds
+// (model/streaming_database) plus the synthetic stream generator that feeds
+// them. The structural invariant under test everywhere: the view a stream
+// keeps after its appends is identical to a fresh CompiledDatabase over the
+// same Database.
 #include "model/streaming_database.h"
 
 #include <algorithm>
@@ -32,62 +33,41 @@ IngestBatch BatchOf(std::vector<StreamObservation> obs) {
   return batch;
 }
 
-/// Asserts that `view` (possibly carrying tail segments and tombstones)
-/// answers structurally identically to a freshly compiled view of `db`.
-/// Claim identity is compared through (item, local claim index), which both
-/// views share with the Database; global ids may legitimately differ.
+/// Asserts that `view` is identical to a freshly compiled view of `db`:
+/// same counts, same global claim ids, same CSR arrays entry for entry.
 void ExpectViewMatchesFresh(const CompiledDatabase& view, const Database& db) {
   const CompiledDatabase fresh(db);
   ASSERT_EQ(view.num_items(), fresh.num_items());
   ASSERT_EQ(view.num_sources(), fresh.num_sources());
   ASSERT_EQ(view.num_claims(), fresh.num_claims());
   ASSERT_EQ(view.num_observations(), fresh.num_observations());
+  EXPECT_EQ(view.claim_sources(), fresh.claim_sources());
+  EXPECT_EQ(view.item_vote_sources(), fresh.item_vote_sources());
+  EXPECT_EQ(view.item_vote_claims(), fresh.item_vote_claims());
+  EXPECT_EQ(view.source_vote_items(), fresh.source_vote_items());
+  EXPECT_EQ(view.source_vote_claims(), fresh.source_vote_claims());
 
   for (ItemId i = 0; i < db.num_items(); ++i) {
     ASSERT_EQ(view.item_num_claims(i), db.num_claims(i)) << "item " << i;
+    ASSERT_EQ(view.claim_offset(i), fresh.claim_offset(i)) << "item " << i;
+    EXPECT_EQ(view.log_false_values(i), fresh.log_false_values(i))
+        << "item " << i;
+    EXPECT_EQ(view.item_votes_begin(i), fresh.item_votes_begin(i));
+    EXPECT_EQ(view.item_votes_end(i), fresh.item_votes_end(i));
     for (std::size_t k = 0; k < db.num_claims(i); ++k) {
-      const std::uint32_t gv = view.global_claim_id(i, k);
-      const std::uint32_t gf = fresh.global_claim_id(i, k);
-      EXPECT_EQ(view.claim_num_sources(gv), fresh.claim_num_sources(gf))
+      const std::uint32_t g = view.claim_offset(i) + k;
+      EXPECT_EQ(view.claim_sources_begin(g), fresh.claim_sources_begin(g))
           << "item " << i << " claim " << k;
-      std::vector<SourceId> sv, sf;
-      view.ForEachClaimSource(gv, [&](SourceId s) { sv.push_back(s); });
-      fresh.ForEachClaimSource(gf, [&](SourceId s) { sf.push_back(s); });
-      std::sort(sv.begin(), sv.end());
-      std::sort(sf.begin(), sf.end());
-      EXPECT_EQ(sv, sf) << "item " << i << " claim " << k;
+      EXPECT_EQ(view.claim_sources_end(g), fresh.claim_sources_end(g))
+          << "item " << i << " claim " << k;
+      EXPECT_EQ(view.claim_num_sources(g), db.item(i).claims[k].sources.size())
+          << "item " << i << " claim " << k;
     }
-    std::vector<std::pair<SourceId, ClaimIndex>> vv, vf;
-    view.ForEachItemVote(
-        i, [&](SourceId s, ClaimIndex k) { vv.emplace_back(s, k); });
-    fresh.ForEachItemVote(
-        i, [&](SourceId s, ClaimIndex k) { vf.emplace_back(s, k); });
-    std::sort(vv.begin(), vv.end());
-    std::sort(vf.begin(), vf.end());
-    EXPECT_EQ(vv, vf) << "item " << i;
   }
-
   for (SourceId j = 0; j < db.num_sources(); ++j) {
-    ASSERT_EQ(view.source_degree(j), fresh.source_degree(j)) << "source " << j;
-    // Compare source votes as (item, local claim) — global ids differ when
-    // the view holds tail claims.
-    const auto to_local = [&db](const CompiledDatabase& c, ItemId i,
-                                std::uint32_t g) -> ClaimIndex {
-      for (std::size_t k = 0; k < db.num_claims(i); ++k) {
-        if (c.global_claim_id(i, k) == g) return static_cast<ClaimIndex>(k);
-      }
-      return kInvalidClaim;
-    };
-    std::vector<std::pair<ItemId, ClaimIndex>> vv, vf;
-    view.ForEachSourceVote(j, [&](ItemId i, std::uint32_t g) {
-      vv.emplace_back(i, to_local(view, i, g));
-    });
-    fresh.ForEachSourceVote(j, [&](ItemId i, std::uint32_t g) {
-      vf.emplace_back(i, to_local(fresh, i, g));
-    });
-    std::sort(vv.begin(), vv.end());
-    std::sort(vf.begin(), vf.end());
-    EXPECT_EQ(vv, vf) << "source " << j;
+    EXPECT_EQ(view.source_votes_begin(j), fresh.source_votes_begin(j));
+    EXPECT_EQ(view.source_votes_end(j), fresh.source_votes_end(j));
+    EXPECT_EQ(view.source_degree(j), db.source_degree(j)) << "source " << j;
   }
 }
 
@@ -102,6 +82,7 @@ Database SeedDb() {
 TEST(StreamingDatabaseTest, AppendBatchCountsAndDirtySets) {
   StreamingDatabase stream(SeedDb());
   EXPECT_EQ(stream.epoch(), 0u);
+  const CompiledDatabase* view = &stream.compiled();
 
   const auto stats_or = stream.AppendBatch(BatchOf({
       Obs("s3", "o1", "a"),   // fresh vote, new source
@@ -117,8 +98,9 @@ TEST(StreamingDatabaseTest, AppendBatchCountsAndDirtySets) {
   EXPECT_EQ(stats.new_items, 1u);
   EXPECT_EQ(stats.new_sources, 2u);
   EXPECT_EQ(stats.new_claims, 1u);
+  // One structural batch: one in-place rebuild, one epoch.
   EXPECT_EQ(stream.epoch(), 1u);
-  EXPECT_FALSE(stream.compiled().flat());
+  EXPECT_EQ(&stream.compiled(), view);
 
   std::vector<ItemId> dirty_items;
   std::vector<SourceId> dirty_sources;
@@ -148,7 +130,7 @@ TEST(StreamingDatabaseTest, PureDuplicateBatchKeepsEpoch) {
   EXPECT_EQ(stats_or.value().duplicates, 2u);
   // No structural change: derived positional state must stay valid.
   EXPECT_EQ(stream.epoch(), 0u);
-  EXPECT_TRUE(stream.compiled().flat());
+  ExpectViewMatchesFresh(stream.compiled(), stream.db());
 }
 
 TEST(StreamingDatabaseTest, EmptyNamesRejected) {
@@ -157,6 +139,16 @@ TEST(StreamingDatabaseTest, EmptyNamesRejected) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(stream.AppendBatch(BatchOf({Obs("s1", "", "a")})).status().code(),
             StatusCode::kInvalidArgument);
+  // A malformed row anywhere rejects the whole batch before any of it lands.
+  const std::size_t obs_before = stream.db().num_observations();
+  EXPECT_EQ(stream
+                .AppendBatch(BatchOf({Obs("s3", "o1", "a"), Obs("s3", "o2", "")}))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(stream.db().num_observations(), obs_before);
+  EXPECT_EQ(stream.epoch(), 0u);
+  ExpectViewMatchesFresh(stream.compiled(), stream.db());
 }
 
 TEST(StreamingDatabaseTest, CheckEpochFailsLoudlyOnStaleViews) {
@@ -169,53 +161,21 @@ TEST(StreamingDatabaseTest, CheckEpochFailsLoudlyOnStaleViews) {
   EXPECT_TRUE(stream.compiled().CheckEpoch(stream.epoch()).ok());
 }
 
-TEST(StreamingDatabaseTest, CompactFoldsTailsAndBumpsEpoch) {
-  StreamingDatabase stream(SeedDb());
-  ASSERT_TRUE(stream
-                  .AppendBatch(BatchOf({Obs("s3", "o2", "y"),
-                                        Obs("s2", "o1", "c"),   // revision
-                                        Obs("s4", "o4", "q")}))
-                  .ok());
-  const std::uint64_t epoch_before = stream.epoch();
-  const std::size_t obs_before = stream.compiled().num_observations();
-  EXPECT_FALSE(stream.compiled().flat());
-
-  stream.Compact();
-  EXPECT_TRUE(stream.compiled().flat());
-  EXPECT_EQ(stream.compiled().tail_observations(), 0u);
-  EXPECT_EQ(stream.compiled().tombstones(), 0u);
-  EXPECT_EQ(stream.compiled().compactions(), 1u);
-  EXPECT_EQ(stream.epoch(), epoch_before + 1);
-  EXPECT_EQ(stream.compiled().num_observations(), obs_before);
-  ExpectViewMatchesFresh(stream.compiled(), stream.db());
-}
-
-TEST(StreamingDatabaseTest, CompactIfNeededHonorsPolicy) {
-  StreamingOptions opts;
-  opts.min_tail_before_compact = 2;
-  opts.compact_tail_fraction = 0.25;
-  StreamingDatabase stream(SeedDb(), opts);
-  // One tail vote: below min tail.
-  ASSERT_TRUE(stream.AppendBatch(BatchOf({Obs("s3", "o1", "a")})).ok());
-  EXPECT_FALSE(stream.CompactIfNeeded());
-  // Second tail vote: 2 tail / 5 total = 0.4 >= 0.25 -> compacts.
-  ASSERT_TRUE(stream.AppendBatch(BatchOf({Obs("s4", "o1", "b")})).ok());
-  EXPECT_TRUE(stream.CompactIfNeeded());
-  EXPECT_TRUE(stream.compiled().flat());
-}
-
 TEST(StreamingDatabaseTest, RevisionChainsStayConsistent) {
-  // Repeated last-write-wins flips across batches, including revising a
-  // tail vote and revising back to the original claim.
+  // Repeated last-write-wins flips across batches, including revising an
+  // appended vote and revising back to the original claim. Every batch is
+  // structural, so each one bumps the epoch exactly once.
   StreamingDatabase stream(SeedDb());
-  ASSERT_TRUE(stream.AppendBatch(BatchOf({Obs("s3", "o1", "c")})).ok());
-  ASSERT_TRUE(stream.AppendBatch(BatchOf({Obs("s3", "o1", "a")})).ok());
-  ASSERT_TRUE(stream.AppendBatch(BatchOf({Obs("s2", "o1", "a")})).ok());
-  ASSERT_TRUE(stream.AppendBatch(BatchOf({Obs("s2", "o1", "b")})).ok());
+  const std::vector<StreamObservation> flips = {
+      Obs("s3", "o1", "c"), Obs("s3", "o1", "a"), Obs("s2", "o1", "a"),
+      Obs("s2", "o1", "b")};
+  std::uint64_t epoch = stream.epoch();
+  for (const StreamObservation& obs : flips) {
+    ASSERT_TRUE(stream.AppendBatch(BatchOf({obs})).ok());
+    EXPECT_EQ(stream.epoch(), ++epoch);
+    ExpectViewMatchesFresh(stream.compiled(), stream.db());
+  }
   EXPECT_EQ(stream.totals().revisions, 3u);
-  ExpectViewMatchesFresh(stream.compiled(), stream.db());
-  stream.Compact();
-  ExpectViewMatchesFresh(stream.compiled(), stream.db());
 }
 
 TEST(VectorFeedTest, TruthRowsRideTheBatchWhoseHorizonReachesThem) {

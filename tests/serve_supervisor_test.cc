@@ -282,6 +282,49 @@ TEST_F(SupervisorTest, ManySessionsAcrossWorkersAllComplete) {
   EXPECT_EQ(supervisor.RecoverSessions(), 0u);
 }
 
+// Bounded cardinality: the registry never drops an instrument, so no
+// instrument may be named after a session. Serving more sessions, completed
+// and evicted-then-recovered alike, must not add any.
+TEST_F(SupervisorTest, InstrumentCountDoesNotGrowWithSessions) {
+  const std::string dir = TestTmpPath("sup_instruments");
+  SupervisorOptions options;
+  options.sessions_dir = dir;
+  options.max_queue_depth = 64;
+  SessionSupervisor supervisor(data_.db, data_.truth, options);
+  ASSERT_TRUE(supervisor.Start().ok());
+  const auto serve = [&](int first, int count) {
+    for (int k = first; k < first + count; ++k) {
+      SessionSpec spec = QuickSpec("tenant" + std::to_string(k));
+      spec.seed = 200 + k;
+      // Odd sessions hit their round quota once: evicted, then recovered.
+      if (k % 2 == 1) spec.budget.max_rounds_per_run = 2;
+      ASSERT_TRUE(supervisor.Submit(spec).ok());
+    }
+    supervisor.Drain();
+    for (std::size_t sweeps = 0; supervisor.RecoverSessions() > 0; ++sweeps) {
+      ASSERT_LT(sweeps, 10u) << "recovery did not converge";
+      supervisor.Drain();
+    }
+  };
+  const auto instruments = [] {
+    const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+    return snap.counters.size() + snap.gauges.size() + snap.histograms.size();
+  };
+
+  serve(0, 2);
+  const std::size_t after_two = instruments();
+  serve(2, 6);
+  EXPECT_EQ(instruments(), after_two);
+
+  for (int k = 0; k < 8; ++k) {
+    SessionReport report;
+    const std::string id = "tenant" + std::to_string(k);
+    ASSERT_TRUE(supervisor.FindReport(id, &report)) << id;
+    EXPECT_EQ(report.outcome, SessionOutcome::kCompleted) << id;
+    EXPECT_EQ(report.recovered, k % 2 == 1) << id;
+  }
+}
+
 TEST_F(SupervisorTest, OutcomeNamesAreStable) {
   EXPECT_STREQ(SessionOutcomeName(SessionOutcome::kCompleted), "completed");
   EXPECT_STREQ(SessionOutcomeName(SessionOutcome::kEvicted), "evicted");

@@ -19,12 +19,12 @@
 //                  [--budget 20] [--batch 1] [--strategy approx_meu]
 //                  [--oracle perfect] [--model accu] [--no-delta]
 //                  [--deadline-ms N]
-//                  [--compact-tail-fraction 0.25] [--compact-min-tail 256]
 //                  [--json BENCH_fusion.json]   merge a replay_ingest record
 //                  [--metrics-out metrics.json]
 #include <algorithm>
 #include <csignal>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -63,25 +63,6 @@ Status RunReplay(const ArgMap& args) {
     return Status::InvalidArgument("--batch-obs must be >= 1");
   }
 
-  // Compaction policy: defaults match StreamingOptions, overridable so a
-  // sweep can force frequent (or suppress) tail folds.
-  StreamingOptions stream_opts;
-  VERITAS_ASSIGN_OR_RETURN(
-      stream_opts.compact_tail_fraction,
-      args.GetDouble("compact-tail-fraction",
-                     stream_opts.compact_tail_fraction));
-  VERITAS_ASSIGN_OR_RETURN(
-      long min_tail,
-      args.GetInt("compact-min-tail",
-                  static_cast<long>(stream_opts.min_tail_before_compact)));
-  if (stream_opts.compact_tail_fraction <= 0.0 ||
-      stream_opts.compact_tail_fraction > 1.0 || min_tail < 0) {
-    return Status::InvalidArgument(
-        "--compact-tail-fraction must be in (0, 1] and --compact-min-tail "
-        ">= 0");
-  }
-  stream_opts.min_tail_before_compact = static_cast<std::size_t>(min_tail);
-
   SyntheticDataset data;
   if (shape == "dense") {
     DenseConfig config;
@@ -116,7 +97,7 @@ Status RunReplay(const ArgMap& args) {
 
   // The session starts against an *empty* database; everything arrives
   // through the feed.
-  StreamingDatabase stream{Database(), stream_opts};
+  StreamingDatabase stream{Database()};
   GroundTruth truth(stream.db());
   VectorFeed feed(std::move(data.stream), std::move(data.truth_stream),
                   static_cast<std::size_t>(batch_obs));
@@ -135,7 +116,6 @@ Status RunReplay(const ArgMap& args) {
   options.streaming.stream = &stream;
   options.streaming.feed = &feed;
   options.streaming.truth = &truth;
-  options.streaming.compaction = stream_opts;
   // The perfect oracle hard-fails on unknown truth; with the filter on, an
   // item whose truth row has not streamed in yet simply waits its turn.
   options.streaming.require_known_truth = true;
@@ -161,15 +141,21 @@ Status RunReplay(const ArgMap& args) {
   const SessionTrace trace = std::move(trace_or).value();
 
   // The validation budget usually ends the session before the feed runs dry;
-  // drain the rest so the replay covers the whole dataset (no fusion behind
-  // these batches — the staleness histogram measures only interleaved ticks).
+  // drain the rest so the replay covers the whole dataset. No fusion runs
+  // behind the drain (the staleness histogram measures only interleaved
+  // ticks), so the leftover feed batches go in as one append: one view
+  // rebuild instead of one per feed batch.
   IngestBatch rest;
+  IngestBatch drained;
   std::size_t drained_batches = 0;
   while (feed.Next(&rest)) {
-    VERITAS_RETURN_IF_ERROR(stream.AppendBatch(rest).status());
-    stream.CompactIfNeeded();
+    drained.observations.insert(
+        drained.observations.end(),
+        std::make_move_iterator(rest.observations.begin()),
+        std::make_move_iterator(rest.observations.end()));
     ++drained_batches;
   }
+  VERITAS_RETURN_IF_ERROR(stream.AppendBatch(drained).status());
   const double run_seconds = run_timer.ElapsedSeconds();
   const IngestStats& totals = stream.totals();
 
@@ -200,8 +186,6 @@ Status RunReplay(const ArgMap& args) {
   table.AddRow({"truths applied", std::to_string(trace.truths_applied)});
   table.AddRow({"truths still deferred",
                 std::to_string(trace.truths_deferred)});
-  table.AddRow({"compactions",
-                std::to_string(stream.compiled().compactions())});
   table.AddRow({"final epoch", std::to_string(stream.epoch())});
   table.AddRow({"items validated",
                 std::to_string(trace.steps.empty()
@@ -239,7 +223,6 @@ Status RunReplay(const ArgMap& args) {
         .Set("ingest_batches", trace.ingest_batches + drained_batches)
         .Set("observations_ingested", totals.fresh)
         .Set("revisions", totals.revisions)
-        .Set("compactions", stream.compiled().compactions())
         .Set("final_epoch", static_cast<std::size_t>(stream.epoch()))
         .Set("run_seconds", run_seconds)
         .Set("ingest_obs_per_second", ingest_rate)
