@@ -422,9 +422,9 @@ int WriteBenchJson(const std::string& path, ScaleMode mode) {
       .Set("speedup_vs_baseline", total_baseline_s / total_delta_s)
       .Set("speedup_vs_full", total_full_s / total_delta_s);
 
-  // Merge-upsert instead of overwrite: other bench binaries (scale_sweep,
-  // replay) land their records in the same BENCH_fusion.json, keyed so a
-  // re-run replaces its own rows and leaves everyone else's alone.
+  // Merge-upsert instead of overwrite: other bench binaries (replay) land
+  // their records in the same BENCH_fusion.json, keyed so a re-run replaces
+  // its own rows and leaves everyone else's alone.
   const Status status = json.MergeInto(path, {"dataset", "threads"});
   if (!status.ok()) {
     std::cerr << "error: " << status.ToString() << "\n";

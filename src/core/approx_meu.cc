@@ -39,11 +39,9 @@ std::vector<double> ComputeClaimG(const Database& db,
 // every lane.
 struct ScatterTables {
   ScatterTables(const StrategyContext& ctx,
-                const std::vector<bool>* impact_filter,
-                const ShardPartition* confine)
+                const std::vector<bool>* impact_filter)
       : db(*ctx.db),
         fusion(*ctx.fusion),
-        confine(confine),
         item_entropy(db.num_items()),
         eligible(db.num_items()),
         phi(db.num_sources()) {
@@ -60,7 +58,6 @@ struct ScatterTables {
 
   const Database& db;
   const FusionResult& fusion;
-  const ShardPartition* confine;  // Stage-1 shard confinement, or null.
   std::vector<double> item_entropy;
   double total_entropy = 0.0;
   std::vector<std::uint8_t> eligible;  // Unpinned, multi-claim, in filter.
@@ -93,8 +90,6 @@ double ScatterGain(const ScatterTables& tab, ItemId i, std::size_t ordinal,
     sc->slot.assign(db.num_items(), 0);
   }
   const std::uint32_t stamp = static_cast<std::uint32_t>(ordinal + 1);
-  const std::uint32_t home_shard =
-      tab.confine != nullptr ? tab.confine->shard_of(i) : 0;
   sc->hypotheses.clear();
   for (ClaimIndex t = 0; t < db.num_claims(i); ++t) {
     if (fusion.prob(i, t) > 0.0) sc->hypotheses.push_back(t);
@@ -127,9 +122,6 @@ double ScatterGain(const ScatterTables& tab, ItemId i, std::size_t ordinal,
     for (const Vote& vote : db.source(votes[k].source).votes) {
       const ItemId j = vote.item;
       if (j == i || !tab.eligible[j]) continue;
-      if (tab.confine != nullptr && tab.confine->shard_of(j) != home_shard) {
-        continue;  // Stage-1 confinement: impact never leaves i's shard.
-      }
       if (sc->stamp[j] != stamp) {  // First touch: claim a zeroed block.
         sc->stamp[j] = stamp;
         sc->slot[j] = used;
@@ -266,8 +258,7 @@ double ApproxMeuStrategy::ExpectedEntropyAfterValidation(
 
 std::vector<double> ApproxMeuStrategy::ScoreCandidates(
     const StrategyContext& ctx, const std::vector<ItemId>& candidates,
-    const std::vector<bool>* impact_filter, CandidateScan* scan,
-    const ShardPartition* confine) {
+    const std::vector<bool>* impact_filter, CandidateScan* scan) {
   VERITAS_SPAN("strategy.approx_meu.score");
   static Counter* lookaheads =
       MetricsRegistry::Global().GetCounter("strategy.approx_meu.lookaheads");
@@ -277,7 +268,7 @@ std::vector<double> ApproxMeuStrategy::ScoreCandidates(
       "strategy.approx_meu.candidates", MetricsRegistry::CountEdges());
   lookaheads->Add(candidates.size());
   candidates_hist->Observe(static_cast<double>(candidates.size()));
-  const ScatterTables tab(ctx, impact_filter, confine);
+  const ScatterTables tab(ctx, impact_filter);
   CandidateScan serial(1);
   CandidateScan& driver = scan != nullptr ? *scan : serial;
   // Scratch is per call, never per driver: its stamps are call ordinals + 1,
@@ -303,23 +294,6 @@ std::vector<ItemId> ApproxMeuStrategy::SelectBatch(const StrategyContext& ctx,
       "strategy.approx_meu.select_calls");
   select_calls->Add(1);
   const std::vector<ItemId> candidates = CandidateItems(ctx);
-  const std::size_t shards =
-      ctx.fusion_opts != nullptr ? ctx.fusion_opts->shards : 1;
-  if (shards > 1 && ctx.delta != nullptr && candidates.size() > batch) {
-    // Stage 1 is one pooled pass over ALL candidates with the partition as
-    // the confinement predicate: each candidate's entropy impact only counts
-    // neighbours in its own shard, so a head source's cross-shard fan-out is
-    // never walked during the estimate pass (DESIGN.md §5h).
-    VERITAS_SPAN("strategy.approx_meu.select_sharded");
-    return scan_.SelectSharded(
-        ctx.delta->compiled(), shards, candidates, batch,
-        [&](const std::vector<ItemId>& stage_candidates, std::size_t /*top_k*/,
-            const ShardedScanPlan* confine) {
-          return ScoreCandidates(
-              ctx, stage_candidates, /*impact_filter=*/nullptr, &scan_,
-              confine != nullptr ? &confine->partition() : nullptr);
-        });
-  }
   const std::vector<double> gains =
       ScoreCandidates(ctx, candidates, /*impact_filter=*/nullptr, &scan_);
   return TopKByScore(candidates, gains, batch);

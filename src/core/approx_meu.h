@@ -37,7 +37,6 @@
 
 #include "core/candidate_scan.h"
 #include "core/strategy.h"
-#include "model/shard_partition.h"
 
 namespace veritas {
 
@@ -95,15 +94,10 @@ class ApproxMeuStrategy : public Strategy {
   /// land in disjoint slots so the result is lane-count independent. A null
   /// `scan` scores serially. Adds the (candidate, hypothesis, neighbour)
   /// estimates it evaluates to `strategy.approx_meu.neighbor_updates`, once
-  /// per call. A non-null `confine` restricts each candidate's neighbour
-  /// impact to the candidate's own shard of the partition — the sharded
-  /// stage-1 semantics — which lets one pooled pass score candidates of
-  /// *different* shards concurrently (confinement is a pure per-(i, j)
-  /// predicate, so no cross-shard state is shared).
+  /// per call.
   static std::vector<double> ScoreCandidates(
       const StrategyContext& ctx, const std::vector<ItemId>& candidates,
-      const std::vector<bool>* impact_filter, CandidateScan* scan = nullptr,
-      const ShardPartition* confine = nullptr);
+      const std::vector<bool>* impact_filter, CandidateScan* scan = nullptr);
 
  private:
   CandidateScan scan_;

@@ -9,10 +9,7 @@
 //   * the serial cutoff (rounds under kSerialCutoff positions run inline on
 //     the caller) and the chunk size of the pool's deal;
 //   * the per-position hard-stop poll: a hard-stopped token makes every
-//     remaining position a no-op (the session discards the round);
-//   * the sharded two-stage protocol of §5h: confined stage 1, per-shard
-//     top-quota merge, unconfined stage 2, final TopKByScore — with the
-//     cached ShardedScanPlan it runs on.
+//     remaining position a no-op (the session discards the round).
 //
 // A kernel owns the estimator and any per-lane scratch, indexed by the lane
 // argument. Kernels write to disjoint slots, so results are independent of
@@ -22,12 +19,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <vector>
 
-#include "fusion/sharded_scan.h"
-#include "model/types.h"
 #include "util/cancellation.h"
 #include "util/thread_pool.h"
 
@@ -61,31 +54,11 @@ class CandidateScan {
     });
   }
 
-  /// One scoring pass of the two-stage protocol: gains parallel to
-  /// `candidates`. `top_k` is the number of winners the pass must rank
-  /// exactly (a pruning kernel may bound the rest); `confine` is the shard
-  /// plan in stage 1 (each candidate's lookahead stays inside its own
-  /// shard) and null in stage 2 (exact, unconfined).
-  using Stage = std::function<std::vector<double>(
-      const std::vector<ItemId>& candidates, std::size_t top_k,
-      const ShardedScanPlan* confine)>;
-
-  /// The sharded selection (fusion/sharded_scan.h): `stage` scores all
-  /// candidates confined with quota MergeQuota(batch), the per-shard top
-  /// quotas are merged, `stage` re-scores the merged pool unconfined, and
-  /// the top `batch` of the pool is returned. The partition is cached
-  /// across calls and rebuilt on an epoch or shard-count change.
-  std::vector<ItemId> SelectSharded(const CompiledDatabase& compiled,
-                                    std::size_t shards,
-                                    const std::vector<ItemId>& candidates,
-                                    std::size_t batch, const Stage& stage);
-
  private:
   std::uint64_t Dispatch(std::size_t n, const ThreadPool::Body& body);
 
   const std::size_t lanes_;
   std::unique_ptr<ThreadPool> pool_;  // Lazy; persists across rounds.
-  ShardedScanPlan plan_;
 };
 
 }  // namespace veritas

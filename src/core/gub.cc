@@ -60,8 +60,6 @@ std::vector<ItemId> GubStrategy::SelectBatch(const StrategyContext& ctx,
   const double current_utility =
       GroundTruthUtility(*ctx.db, *ctx.fusion, *ctx.ground_truth);
 
-  // FusionOptions::shards is ignored: GUB's gains are exact and
-  // item-independent, so a sharded merge would select exactly this batch.
   std::vector<double> gains(candidates.size(), 0.0);
   scan_.ForEach(candidates.size(), ctx.cancel,
                 [&](std::size_t /*lane*/, std::size_t idx) {

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <queue>
@@ -148,14 +147,6 @@ std::vector<std::size_t> MeuStrategy::ScanOrder(
 std::vector<double> MeuStrategy::ScoreCandidateGains(
     const StrategyContext& ctx, const std::vector<ItemId>& candidates,
     std::size_t top_k, bool allow_prune) {
-  return ScanCandidateGains(ctx, candidates, top_k, allow_prune,
-                            /*plan=*/nullptr);
-}
-
-std::vector<double> MeuStrategy::ScanCandidateGains(
-    const StrategyContext& ctx, const std::vector<ItemId>& candidates,
-    std::size_t top_k, bool allow_prune, const ShardedScanPlan* plan,
-    const DeltaFusionEngine::BaseState* shared_base) {
   static Counter* pruned_counter =
       MetricsRegistry::Global().GetCounter("meu.candidates_pruned");
   static Counter* steals_counter =
@@ -171,36 +162,14 @@ std::vector<double> MeuStrategy::ScanCandidateGains(
   const bool use_delta = ctx.delta != nullptr && ctx.warm_start_lookahead;
 
   // One flattened base state serves the whole candidate scan; each lane
-  // pins into its own persistent O(frontier) workspace. A caller-owned
-  // shared base skips the O(database) flatten (and the per-lane workspace
-  // re-sync a fresh base would force).
-  std::optional<DeltaFusionEngine::BaseState> local_base;
-  const DeltaFusionEngine::BaseState* base = shared_base;
-  if (use_delta && base == nullptr) {
-    local_base.emplace(ctx.delta->PrepareBase(*ctx.fusion));
-    base = &*local_base;
-  }
-
-  // Shard-confined mode: each candidate's lookahead propagates inside its
-  // own shard, and branch-and-bound runs per shard (top_k is the per-shard
-  // merge quota). Confinement requires the delta path.
-  const std::uint32_t* shard_map =
-      plan != nullptr && use_delta ? plan->partition().shard_map().data()
-                                   : nullptr;
+  // pins into its own persistent O(frontier) workspace.
+  std::optional<DeltaFusionEngine::BaseState> base;
+  if (use_delta) base.emplace(ctx.delta->PrepareBase(*ctx.fusion));
 
   const std::vector<std::size_t> order = ScanOrder(ctx, candidates);
   const bool prune =
       allow_prune && use_delta && top_k > 0 && top_k < candidates.size();
-  // One threshold per shard in confined mode (each shard selects its own
-  // top-quota); a single global threshold otherwise. GainThreshold is
-  // neither movable nor copyable, hence the unique_ptr elements.
-  const std::size_t num_thresholds =
-      shard_map != nullptr ? plan->num_shards() : 1;
-  std::vector<std::unique_ptr<GainThreshold>> thresholds;
-  thresholds.reserve(num_thresholds);
-  for (std::size_t s = 0; s < num_thresholds; ++s) {
-    thresholds.push_back(std::make_unique<GainThreshold>(prune ? top_k : 0));
-  }
+  GainThreshold threshold(prune ? top_k : 0);
   std::atomic<std::uint64_t> pruned{0};
   std::atomic<double> max_ratio{0.0};
   if (lane_ws_.size() < scan_.lanes()) lane_ws_.resize(scan_.lanes());
@@ -221,20 +190,9 @@ std::vector<double> MeuStrategy::ScanCandidateGains(
       gains[idx] = current_entropy - ExpectedEntropyAfterValidation(ctx, item);
       return;
     }
-    ItemScope scope;
-    const ItemScope* scope_ptr = nullptr;
-    if (shard_map != nullptr) {
-      scope = plan->ScopeFor(item);
-      scope_ptr = &scope;
-    }
-    GainThreshold& threshold =
-        shard_map != nullptr ? *thresholds[shard_map[item]] : *thresholds[0];
-
     // Per-claim gain bound: pinning o_i removes its own entropy H_i exactly;
     // the cross-item ripple is bounded by margin * H_i (exactly zero for
-    // Voting, where a pin moves nothing else). DESIGN.md §5f. Confinement
-    // only shrinks the ripple, so the same bound is admissible for the
-    // shard-confined estimates.
+    // Voting, where a pin moves nothing else). DESIGN.md §5f.
     const double h_item = base->item_entropy[item];
     const double margin =
         ctx.delta->cross_item_influence() ? kPruneMarginRel : 0.0;
@@ -272,8 +230,7 @@ std::vector<double> MeuStrategy::ScanCandidateGains(
         expected += pk * (base->total_entropy - base->item_entropy[item]);
       } else {
         expected += pk * ctx.delta->EntropyAfterExactPin(
-                             *base, lane_ws_[lane], *ctx.priors, item, k,
-                             nullptr, scope_ptr);
+                             *base, lane_ws_[lane], *ctx.priors, item, k);
       }
       mass += pk;
       if (!prune) continue;
@@ -310,10 +267,7 @@ std::vector<double> MeuStrategy::ScanCandidateGains(
 
   // Seed the next round's scan with this round's ranking, so the eventual
   // winners are evaluated first and the threshold tightens immediately.
-  // Confined estimates never seed: the ranking belongs to the exact scan.
-  if (shard_map == nullptr) {
-    seed_ranking_ = TopKByScore(candidates, gains, kSeedLimit);
-  }
+  seed_ranking_ = TopKByScore(candidates, gains, kSeedLimit);
   return gains;
 }
 
@@ -332,24 +286,6 @@ std::vector<ItemId> MeuStrategy::SelectBatch(const StrategyContext& ctx,
   select_calls->Add(1);
   lookaheads->Add(candidates.size());
   candidates_hist->Observe(static_cast<double>(candidates.size()));
-  const std::size_t shards = ctx.fusion_opts->shards;
-  const bool use_delta = ctx.delta != nullptr && ctx.warm_start_lookahead;
-  if (shards > 1 && use_delta && candidates.size() > batch) {
-    VERITAS_SPAN("strategy.meu.select_sharded");
-    // One O(database) flatten serves both stages: stage 2's pins run
-    // against the same base (each lookahead restores what it touched), so
-    // neither the flatten nor the per-lane workspace sync is paid twice.
-    // Stage 2 is the classic exact scan and refreshes the seed ranking.
-    const DeltaFusionEngine::BaseState base =
-        ctx.delta->PrepareBase(*ctx.fusion);
-    return scan_.SelectSharded(
-        ctx.delta->compiled(), shards, candidates, batch,
-        [&](const std::vector<ItemId>& stage_candidates, std::size_t top_k,
-            const ShardedScanPlan* confine) {
-          return ScanCandidateGains(ctx, stage_candidates, top_k,
-                                    /*allow_prune=*/true, confine, &base);
-        });
-  }
   const std::vector<double> gains =
       ScoreCandidateGains(ctx, candidates, batch, /*allow_prune=*/true);
   return TopKByScore(candidates, gains, batch);

@@ -13,19 +13,23 @@
 //   * branch-and-bound pruning: candidates are visited best-first (seeded by
 //     last round's ranking), a shared monotone threshold tracks the batch-th
 //     best exact gain, and a candidate is abandoned — a priori or mid-claim —
-//     once an upper bound on its gain provably falls below that threshold;
+//     once an upper bound on its gain falls below that threshold;
 //   * the delta engine's flat SoA frontier passes (fusion/delta_fusion.h).
-// Selections are deterministic for any thread count: the threshold is only
-// ever fed *exact* gains, so every true top-batch candidate is evaluated
-// exactly, and pruned candidates record a bound strictly below the final
-// threshold. Requires ctx.model and ctx.fusion_opts.
+// The unpruned scan is identical for every thread count. The pruned scan
+// equals it only while the per-claim gain bound (kPruneMarginRel) holds:
+// the threshold is only ever fed *exact* gains, so under an admissible bound
+// every true top-batch candidate is evaluated exactly and pruned candidates
+// record a bound strictly below the final threshold. The bound is a
+// heuristic for models with cross-item influence and is known to fail on
+// some data; then pruned selections can differ from the unpruned scan and
+// between thread counts. The meu.max_gain_bound_ratio gauge is the runtime
+// detector (DESIGN.md §5f). Requires ctx.model and ctx.fusion_opts.
 #ifndef VERITAS_CORE_MEU_H_
 #define VERITAS_CORE_MEU_H_
 
 #include "core/candidate_scan.h"
 #include "core/strategy.h"
 #include "fusion/delta_fusion.h"
-#include "fusion/sharded_scan.h"
 
 namespace veritas {
 
@@ -89,19 +93,6 @@ class MeuStrategy : public Strategy {
   /// function of (seed_ranking_, ctx) — identical for every thread count.
   std::vector<std::size_t> ScanOrder(const StrategyContext& ctx,
                                      const std::vector<ItemId>& candidates) const;
-
-  /// The scan body behind ScoreCandidateGains. With a non-null `plan`, gains
-  /// are shard-confined *estimates* (each candidate's lookahead propagates
-  /// inside its own shard only) and branch-and-bound runs per shard with
-  /// `top_k` as the per-shard quota; the seed ranking is not updated (it
-  /// belongs to the exact scan). With a null plan this is the classic exact
-  /// scan. `shared_base`, when non-null, is a flattened base the caller owns
-  /// — the sharded path prepares it once and reuses it across both stages
-  /// (flattening is O(database), the stages are not).
-  std::vector<double> ScanCandidateGains(
-      const StrategyContext& ctx, const std::vector<ItemId>& candidates,
-      std::size_t top_k, bool allow_prune, const ShardedScanPlan* plan,
-      const DeltaFusionEngine::BaseState* shared_base = nullptr);
 
   CandidateScan scan_;
   /// Per-lane delta workspaces, persistent so a round only pays one lazy

@@ -248,6 +248,10 @@ Result<SessionTrace> FeedbackSession::Run() {
     trace.initial_distance = DistanceToGroundTruth(db_, fusion, truth_);
     trace.initial_uncertainty = Uncertainty(fusion);
   }
+  // A stream usually starts empty, so the baseline above measures nothing:
+  // a streaming session re-takes it at its first validating round with
+  // known truth, after that round's ingest and before its oracle calls.
+  bool baseline_pending = streaming.active();
   // Rounds recorded before this process run started; the budget's per-run
   // quota (and its one-round-of-progress guarantee) counts from here.
   const std::size_t resumed_rounds = trace.steps.size();
@@ -473,6 +477,11 @@ Result<SessionTrace> FeedbackSession::Run() {
       // feed. Only a drained feed means true exhaustion.
       if (feed_live) continue;
       break;
+    }
+    if (baseline_pending && truth_.num_known() > 0) {
+      trace.initial_distance = DistanceToGroundTruth(db_, fusion, truth_);
+      trace.initial_uncertainty = Uncertainty(fusion);
+      baseline_pending = false;
     }
 
     SessionStep step;

@@ -17,7 +17,8 @@ namespace veritas {
 /// candidate scan of the lookahead strategies ("meu", "meu2", "approx_meu",
 /// "approx_meu_k:*", "gub", "gub_expectation") over a persistent
 /// work-stealing pool; the cheap ranking strategies ignore it. Selected
-/// items are identical for every thread count. All built-in fusion models
+/// items are identical for every thread count, except pruned "meu" where
+/// its heuristic gain bound fails (core/meu.h). All built-in fusion models
 /// are thread-safe.
 Result<std::unique_ptr<Strategy>> MakeStrategy(const std::string& name,
                                                std::size_t num_threads = 1);

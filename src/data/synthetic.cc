@@ -372,11 +372,10 @@ std::vector<double> MeasureAccuracies(const Database& db,
   return out;
 }
 
-// The million-item scale-out shape (DESIGN.md §5h). Structure:
+// The million-item long-tail shape. Structure:
 //  * `head_sources` heads: head j votes the true value on every item with
 //    i % heads == j, so the heads jointly cover 100% of items and any
-//    lookahead ripple through a head's accuracy touches the whole database
-//    — the coupling the shard layer's confinement pays for not walking.
+//    lookahead ripple through a head's accuracy touches the whole database.
 //  * every non-hot item additionally gets `base_votes` agreeing true votes
 //    from hash-assigned tail sources: single-claim items, zero entropy,
 //    excluded from candidate scans.
@@ -386,13 +385,11 @@ std::vector<double> MeasureAccuracies(const Database& db,
 //    false-contester source whose *degrees* are chosen so the fused
 //    log-odds gap ramps linearly over (0, max_hot_logit] across the hot
 //    set. That yields a continuous spectrum of item entropies from ~ln 2
-//    down, with gaps far wider than the cross-shard ripple a confined
-//    estimate drops (so sharded selections match). The default ramp is
-//    shallow enough that no hot item's branch-and-bound gain bound falls
-//    below the best gains — every candidate pays its full lookahead, which
-//    is the regime where scan cost is the bottleneck and sharding is
-//    measured; steeper ramps (larger max_hot_logit) hand most of the work
-//    to the pruner instead.
+//    down. The default ramp is shallow enough that no hot item's
+//    branch-and-bound gain bound falls below the best gains — every
+//    candidate pays its full lookahead, so scan cost is the bottleneck;
+//    steeper ramps (larger max_hot_logit) hand most of the work to the
+//    pruner instead.
 // No per-item database snapshots anywhere: construction is a fixed number
 // of streaming passes, and coverage/true-claim presence hold by design.
 struct ScaledLongTailConfig {

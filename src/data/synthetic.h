@@ -164,7 +164,7 @@ struct GenerationReport {
 ///   "longtail"  — GenerateLongTail. Params: avg_votes_per_item,
 ///                 pareto_alpha, max_coverage_fraction, plus the dense set
 ///                 minus density.
-///   "scaled_longtail" — the million-item scale-out shape (DESIGN.md §5h):
+///   "scaled_longtail" — the million-item long-tail shape:
 ///                 a few head sources jointly cover every item (coupling
 ///                 all items through shared sources), every tail item gets
 ///                 `base_votes` agreeing votes (zero entropy, excluded from

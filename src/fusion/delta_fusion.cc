@@ -366,8 +366,7 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
 bool DeltaFusionEngine::Propagate(Workspace& ws, const PriorSet& priors,
                                   ItemId extra_pin, bool enforce_coverage,
                                   bool* converged, std::size_t* iterations,
-                                  DeltaFusionStats* stats,
-                                  const ItemScope* scope) const {
+                                  DeltaFusionStats* stats) const {
   const CompiledDatabase& c = *compiled_;
   const double eps =
       delta_opts_.propagation_epsilon_factor * fusion_opts_.tolerance;
@@ -410,23 +409,6 @@ bool DeltaFusionEngine::Propagate(Workspace& ws, const PriorSet& priors,
       if (kind_ != Kind::kVoting && delta >= eps &&
           ws.source_enroll_tick_[j] != ws.ticket_) {
         ws.source_enroll_tick_[j] = ws.ticket_;
-        if (scope != nullptr && scope->conflict_items != nullptr &&
-            scope->conflict_items->size() < degree) {
-          // Confined fast path: enroll from the shard's (small) conflict
-          // list instead of walking a heavy source's whole vote list. This
-          // may over-enroll in-scope items the source does not vote on —
-          // their scores have not moved, so the recompute is a no-op — and
-          // is what keeps a confined lookahead independent of the degree of
-          // a database-spanning head source.
-          for (const ItemId i : *scope->conflict_items) {
-            if (ws.item_touch_tick_[i] == ws.ticket_) continue;
-            if (i == extra_pin || priors.Has(i)) continue;
-            ws.item_touch_tick_[i] = ws.ticket_;
-            ws.touched_items_.push_back(i);
-            ws.frontier_.push_back(i);
-          }
-          continue;
-        }
         const std::vector<ItemId>& vote_items = c.source_vote_items();
         for (std::uint32_t v = c.source_votes_begin(j);
              v < c.source_votes_end(j); ++v) {
@@ -435,10 +417,6 @@ bool DeltaFusionEngine::Propagate(Workspace& ws, const PriorSet& priors,
           if (i == extra_pin || c.item_num_claims(i) <= 1 || priors.Has(i)) {
             continue;
           }
-          // Shard confinement: the ripple stops at the scope boundary. The
-          // source's accuracy/sum still update from in-scope prob changes —
-          // only the re-enrollment of foreign items is cut.
-          if (scope != nullptr && !scope->Contains(i)) continue;
           ws.item_touch_tick_[i] = ws.ticket_;
           ws.touched_items_.push_back(i);
           ws.frontier_.push_back(i);
@@ -554,7 +532,7 @@ FusionResult DeltaFusionEngine::FuseWithPins(const FusionResult& base,
 
 double DeltaFusionEngine::EntropyAfterExactPin(
     const BaseState& base, Workspace& ws, const PriorSet& priors, ItemId item,
-    ClaimIndex claim, DeltaFusionStats* stats, const ItemScope* scope) const {
+    ClaimIndex claim, DeltaFusionStats* stats) const {
   // The MEU inner loop: instrumentation here is a single relaxed atomic add
   // (no span, no histogram) so thousands of lookahead pins per select stay
   // cheap with metrics always on.
@@ -594,7 +572,7 @@ double DeltaFusionEngine::EntropyAfterExactPin(
   bool conv = false;
   std::size_t iters = 0;
   Propagate(ws, priors, item, /*enforce_coverage=*/false, &conv, &iters,
-            stats, scope);
+            stats);
 
   double total = base.total_entropy;
   for (ItemId i : ws.touched_items_) {

@@ -64,35 +64,6 @@ struct DeltaFusionOptions {
   double propagation_epsilon_factor = 1e-3;
 };
 
-/// Restricts a lookahead's propagation to one shard of an item partition
-/// (DESIGN.md §5h). Items outside the scope never enter the frontier, so the
-/// ripple of a hypothetical pin is confined to the shard and a lookahead
-/// costs O(shard reach) instead of O(reach of the heaviest shared source) —
-/// the mechanism behind the sharded scan's per-candidate speedup. The
-/// confined entropy is an *estimate* (cross-shard coupling is dropped); the
-/// sharded scan re-ranks the merged candidate pool with unconfined exact
-/// lookaheads before anything is selected.
-struct ItemScope {
-  /// Shard id per ItemId (ShardPartition::shard_map().data()); not owned.
-  /// Null admits every item (no confinement).
-  const std::uint32_t* shard_of = nullptr;
-  std::uint32_t shard = 0;
-  /// Optional enrollment fast path: the shard's multi-claim items,
-  /// ascending (ShardPartition::conflict_items(shard)); not owned. When a
-  /// source's vote list is longer than this list, the confined propagation
-  /// enrolls from here instead of scanning the votes — a head source
-  /// covering the whole database then costs O(shard conflicts), not
-  /// O(degree), per lookahead. May over-enroll in-scope items the source
-  /// does not vote on; recomputing an item whose scores did not move is a
-  /// no-op, so the confined estimate is unchanged up to floating-point
-  /// noise far below the merge's decision margins.
-  const std::vector<ItemId>* conflict_items = nullptr;
-
-  bool Contains(ItemId i) const {
-    return shard_of == nullptr || shard_of[i] == shard;
-  }
-};
-
 /// Per-call observability of one incremental re-fusion.
 struct DeltaFusionStats {
   bool fell_back = false;           ///< Propagation abandoned for full Fuse.
@@ -214,14 +185,11 @@ class DeltaFusionEngine {
 
   /// MEU fast path: the total entropy of the hypothetical state where `item`
   /// is pinned one-hot to `claim`, without materializing a FusionResult.
-  /// `priors` is the current prior set (NOT yet containing `item`). A
-  /// non-null `scope` confines the propagation frontier to the scope's items
-  /// (shard-local estimate; see ItemScope).
+  /// `priors` is the current prior set (NOT yet containing `item`).
   double EntropyAfterExactPin(const BaseState& base, Workspace& ws,
                               const PriorSet& priors, ItemId item,
                               ClaimIndex claim,
-                              DeltaFusionStats* stats = nullptr,
-                              const ItemScope* scope = nullptr) const;
+                              DeltaFusionStats* stats = nullptr) const;
 
   /// Streaming re-fusion: folds freshly appended observations into a
   /// converged result instead of re-fusing from scratch. `base` is the
@@ -277,12 +245,10 @@ class DeltaFusionEngine {
   /// returns false as soon as the touched-item set exceeds the coverage
   /// threshold (caller must fall back to a full Fuse); without it the
   /// relaxation simply degrades into a full-database alternation on the
-  /// workspace arrays. `extra_pin` marks a pinned item absent from `priors`;
-  /// a non-null `scope` keeps out-of-scope items off the frontier.
+  /// workspace arrays. `extra_pin` marks a pinned item absent from `priors`.
   bool Propagate(Workspace& ws, const PriorSet& priors, ItemId extra_pin,
                  bool enforce_coverage, bool* converged,
-                 std::size_t* iterations, DeltaFusionStats* stats,
-                 const ItemScope* scope = nullptr) const;
+                 std::size_t* iterations, DeltaFusionStats* stats) const;
 
   /// Seeds `ws` for a propagation over an already-pinned/extended state:
   /// marks `dirty_items` touched (multi-claim unpinned ones enter the

@@ -29,14 +29,6 @@ struct FusionOptions {
   /// with warm starts — cold-started runs stay on the full path so the
   /// paper's worked examples remain bit-exact.
   bool use_delta_fusion = true;
-  /// Number of item-disjoint shards for the MEU-family candidate scans
-  /// (DESIGN.md §5h). <= 1 keeps the classic single-view scan. With N > 1
-  /// the scan runs a shard-confined estimate pass per shard, merges the
-  /// per-shard top candidates, and re-ranks the merged pool with exact
-  /// unconfined lookaheads — selections stay deterministic for any shard
-  /// count × thread count. Fusion itself (Fuse) is unaffected; only the
-  /// strategies' lookahead scans read this.
-  std::size_t shards = 1;
   /// Optional hard-stop token (not owned; may be null). Iterative models
   /// poll it once per claim/accuracy alternation and bail at the next
   /// iteration boundary when a hard stop is requested, returning the

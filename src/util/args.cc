@@ -37,11 +37,13 @@ Result<ArgMap> ArgMap::Parse(int argc, const char* const* argv) {
 
 std::string ArgMap::GetString(const std::string& key,
                               const std::string& fallback) const {
+  read_.insert(key);
   auto it = values_.find(key);
   return it == values_.end() ? fallback : it->second;
 }
 
 Result<long> ArgMap::GetInt(const std::string& key, long fallback) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
@@ -56,6 +58,7 @@ Result<long> ArgMap::GetInt(const std::string& key, long fallback) const {
 
 Result<double> ArgMap::GetDouble(const std::string& key,
                                  double fallback) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   char* end = nullptr;
@@ -73,6 +76,19 @@ std::vector<std::string> ArgMap::Keys() const {
   out.reserve(values_.size());
   for (const auto& [key, _] : values_) out.push_back(key);
   return out;
+}
+
+Status ArgMap::RejectUnread() const {
+  std::string unread;
+  for (const auto& [key, _] : values_) {
+    if (read_.count(key) > 0) continue;
+    if (!unread.empty()) unread += ", ";
+    unread += "--" + key;
+  }
+  if (unread.empty()) return Status::OK();
+  const std::string where =
+      command_.empty() ? "" : " for command '" + command_ + "'";
+  return Status::InvalidArgument("unknown option(s)" + where + ": " + unread);
 }
 
 }  // namespace veritas

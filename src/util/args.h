@@ -1,9 +1,12 @@
 // Minimal command-line argument parsing for the veritas_cli tool:
 // one positional command followed by --key value pairs and --flag switches.
+// Every lookup records its key, so a tool can reject the options its
+// command never read (a typo or a retired flag) instead of ignoring them.
 #ifndef VERITAS_UTIL_ARGS_H_
 #define VERITAS_UTIL_ARGS_H_
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,7 +24,10 @@ class ArgMap {
 
   const std::string& command() const { return command_; }
 
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
+  bool Has(const std::string& key) const {
+    read_.insert(key);
+    return values_.count(key) > 0;
+  }
 
   /// String option with fallback.
   std::string GetString(const std::string& key,
@@ -39,9 +45,15 @@ class ArgMap {
   /// Keys present (for error messages / debugging).
   std::vector<std::string> Keys() const;
 
+  /// InvalidArgument naming every present key that no lookup (Has, Get*)
+  /// has asked for yet; OK when there is none. Call it after the command
+  /// has read all of its options and before it does any work.
+  Status RejectUnread() const;
+
  private:
   std::string command_;
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;  // Keys looked up so far.
 };
 
 }  // namespace veritas

@@ -7,7 +7,6 @@
 #ifndef VERITAS_TESTS_APPROX_MEU_REFERENCE_H_
 #define VERITAS_TESTS_APPROX_MEU_REFERENCE_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "core/approx_meu.h"
@@ -17,8 +16,7 @@ namespace veritas {
 
 inline std::vector<double> ReferenceScores(
     const StrategyContext& ctx, const std::vector<ItemId>& candidates,
-    const std::vector<bool>* impact_filter,
-    const ShardPartition* confine = nullptr) {
+    const std::vector<bool>* impact_filter) {
   const Database& db = *ctx.db;
   const FusionResult& fusion = *ctx.fusion;
   std::vector<double> item_entropy(db.num_items(), 0.0);
@@ -31,8 +29,6 @@ inline std::vector<double> ReferenceScores(
   std::vector<ItemId> neighbors;
   for (std::size_t idx = 0; idx < candidates.size(); ++idx) {
     const ItemId i = candidates[idx];
-    const std::uint32_t home_shard =
-        confine != nullptr ? confine->shard_of(i) : 0;
     ctx.graph->CollectNeighbors(i, &neighbors);
     double expected = 0.0;
     for (ClaimIndex t = 0; t < db.num_claims(i); ++t) {
@@ -43,9 +39,6 @@ inline std::vector<double> ReferenceScores(
       for (ItemId j : neighbors) {
         if (ctx.priors->Has(j)) continue;
         if (impact_filter != nullptr && !(*impact_filter)[j]) continue;
-        if (confine != nullptr && confine->shard_of(j) != home_shard) {
-          continue;
-        }
         if (db.num_claims(j) <= 1) continue;
         const std::vector<double> updated =
             EstimateUpdatedProbs(db, fusion, j, deltas);

@@ -15,8 +15,6 @@
 #include "data/example_data.h"
 #include "data/synthetic.h"
 #include "fusion/accu.h"
-#include "model/compiled_database.h"
-#include "model/shard_partition.h"
 #include "obs/metrics.h"
 
 namespace veritas {
@@ -278,7 +276,7 @@ TEST_F(ApproxMeuTest, CountsNeighborUpdatesOncePerCall) {
 // validated, and a strategy context over it.
 struct ScatterCase {
   explicit ScatterCase(SyntheticDataset dataset, std::size_t pins = 0)
-      : data(std::move(dataset)), graph(data.db), compiled(data.db) {
+      : data(std::move(dataset)), graph(data.db) {
     const std::vector<ItemId> conflicting = data.db.ConflictingItems();
     for (std::size_t k = 0; k < pins; ++k) {
       const ItemId item = conflicting[k * conflicting.size() / pins];
@@ -299,7 +297,6 @@ struct ScatterCase {
   PriorSet priors;
   FusionResult fusion;
   ItemGraph graph;
-  CompiledDatabase compiled;
   StrategyContext ctx;
 };
 
@@ -385,19 +382,6 @@ TEST(ApproxMeuScatterTest, ImpactFilterMatchesReference) {
   ExpectBitIdentical(
       ApproxMeuStrategy::ScoreCandidates(c.ctx, candidates, &filter),
       ReferenceScores(c.ctx, candidates, &filter));
-}
-
-TEST(ApproxMeuScatterTest, ShardConfinementMatchesReference) {
-  const ScatterCase c(LongTail(13), /*pins=*/10);
-  const std::vector<ItemId> candidates = CandidateItems(c.ctx);
-  for (const std::size_t shards : {2u, 4u, 7u}) {
-    SCOPED_TRACE(shards);
-    const ShardPartition partition(c.compiled, shards);
-    ExpectBitIdentical(
-        ApproxMeuStrategy::ScoreCandidates(c.ctx, candidates, nullptr,
-                                           /*scan=*/nullptr, &partition),
-        ReferenceScores(c.ctx, candidates, nullptr, &partition));
-  }
 }
 
 TEST(ApproxMeuScatterTest, NeedsNoItemGraph) {

@@ -138,5 +138,47 @@ TEST(StreamingSessionTest, TruthArrivingBeforeItsItemIsDeferredThenApplied) {
   EXPECT_TRUE(truth.Knows(o2.value()));
 }
 
+TEST(StreamingSessionTest, DistanceBaselineIsTakenOnceTruthIsKnown) {
+  // The stream starts empty, so the state before the first tick has no
+  // known truth to measure against. The baseline must come from the first
+  // validating round instead, so the reported reduction is no longer 0.
+  DenseConfig config;
+  config.num_items = 300;
+  config.num_sources = 40;
+  config.seed = 42;
+  config.emit_stream = true;
+  config.revision_fraction = 0.02;
+  const SyntheticDataset data = GenerateDense(config);
+
+  StreamingDatabase stream{Database()};
+  GroundTruth truth(stream.db());
+  VectorFeed feed(data.stream, data.truth_stream, /*batch_size=*/64);
+  AccuFusion model;
+  auto strategy_or = MakeStrategy("qbc");
+  ASSERT_TRUE(strategy_or.ok());
+  PerfectOracle oracle;
+  Rng rng(42);
+
+  SessionOptions options;
+  options.max_validations = 20;
+  options.streaming.stream = &stream;
+  options.streaming.feed = &feed;
+  options.streaming.truth = &truth;
+  options.streaming.require_known_truth = true;
+
+  FeedbackSession session(stream.db(), model, strategy_or.value().get(),
+                          &oracle, truth, options, &rng);
+  auto trace_or = session.Run();
+  ASSERT_TRUE(trace_or.ok()) << trace_or.status();
+  const SessionTrace trace = trace_or.value();
+
+  ASSERT_EQ(trace.steps.back().num_validated, 20u);
+  EXPECT_GT(trace.initial_distance, 0.0);
+  EXPECT_GT(trace.initial_uncertainty, 0.0);
+  // No sign is asserted: truth rows keep arriving after the baseline, and
+  // every newly known item adds to the distance.
+  EXPECT_NE(trace.DistanceReductionPercent(trace.steps.size() - 1), 0.0);
+}
+
 }  // namespace
 }  // namespace veritas

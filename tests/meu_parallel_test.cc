@@ -1,14 +1,19 @@
-// Equivalence suite for the pruned, work-stealing MEU lookahead scan
-// (DESIGN.md §5f): selections must be identical to the unpruned serial scan
-// for every fusion model and thread count, pruning must actually fire, and
-// the scan must stay correct across seeded rounds. Lives in the concurrency
-// binary so CI reruns it under ThreadSanitizer.
+// Equivalence suite for the pooled lookahead scans. MEU (DESIGN.md §5f):
+// on these fixtures the pruned, work-stealing scan selects what the unpruned
+// serial scan selects for every fusion model and thread count, pruning
+// actually fires, the scan stays correct across seeded rounds, and the
+// unpruned scan is thread-count invariant over a whole session. Approx-MEU
+// (§5j): the pooled scatter kernel equals its per-neighbour reference at
+// every lane count. Lives in the concurrency binary so CI reruns it under
+// ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "approx_meu_reference.h"
+#include "core/approx_meu.h"
 #include "core/candidate_scan.h"
 #include "core/meu.h"
 #include "core/strategy.h"
@@ -17,6 +22,7 @@
 #include "fusion/delta_fusion.h"
 #include "fusion/truthfinder.h"
 #include "fusion/voting.h"
+#include "model/item_graph.h"
 #include "obs/metrics.h"
 
 namespace veritas {
@@ -189,6 +195,107 @@ TEST(MeuPrunedParallelTest, ResetClearsTheSeedRanking) {
   pruned.Reset();
   // A reset strategy must reproduce the fresh-strategy scan exactly.
   EXPECT_EQ(pruned.SelectBatch(fx.ctx, 3), first);
+}
+
+TEST(MeuPrunedParallelTest, UnprunedSessionIsThreadCountInvariant) {
+  // The 60-item, 10-source dense fixture on which the *pruned* scan at 4
+  // threads has been seen to pick different items from round 5 on (its
+  // kPruneMarginRel bound is heuristic, DESIGN.md §5f). The unpruned scan
+  // scores every candidate exactly, so its whole validation sequence must
+  // not depend on the thread count.
+  DenseConfig config;
+  config.num_items = 60;
+  config.num_sources = 10;
+  config.density = 0.5;
+  config.seed = 4;
+  const SyntheticDataset data = GenerateDense(config);
+  AccuFusion model;
+  FusionOptions opts;
+  PriorSet priors;
+  FusionResult fusion = model.Fuse(data.db, priors, opts);
+  const auto delta = DeltaFusionEngine::Create(data.db, model, opts);
+  ASSERT_NE(delta, nullptr);
+  StrategyContext ctx;
+  ctx.db = &data.db;
+  ctx.fusion = &fusion;
+  ctx.priors = &priors;
+  ctx.model = &model;
+  ctx.fusion_opts = &opts;
+  ctx.delta = delta.get();
+
+  MeuStrategy serial(1);
+  MeuStrategy parallel(4);
+  for (int round = 0; round < 10; ++round) {
+    const std::vector<ItemId> candidates = CandidateItems(ctx);
+    ASSERT_FALSE(candidates.empty()) << "round " << round;
+    const std::vector<ItemId> want = TopKByScore(
+        candidates,
+        serial.ScoreCandidateGains(ctx, candidates, 1, /*allow_prune=*/false),
+        1);
+    const std::vector<ItemId> got = TopKByScore(
+        candidates,
+        parallel.ScoreCandidateGains(ctx, candidates, 1,
+                                     /*allow_prune=*/false),
+        1);
+    ASSERT_EQ(want.size(), 1u) << "round " << round;
+    ASSERT_EQ(got, want) << "round " << round;
+    const ItemId item = want.front();
+    const ClaimIndex truth = data.truth.TrueClaim(item);
+    ASSERT_TRUE(
+        priors.SetExact(data.db, item, truth == kInvalidClaim ? 0 : truth)
+            .ok());
+    fusion = model.Fuse(data.db, priors, opts, &fusion);
+  }
+}
+
+TEST(ApproxMeuPooledScanTest, GainsMatchReferenceAtEveryLaneCount) {
+  // Each lane scores with its own scratch: gains are == the per-neighbour
+  // reference scan at every lane count, and the per-lane neighbour-update
+  // counts sum to the same total.
+  DenseConfig config;
+  config.num_items = 300;
+  config.num_sources = 38;
+  config.density = 0.36;
+  config.copier_fraction = 0.2;
+  config.seed = 17;
+  const SyntheticDataset data = GenerateDense(config);
+  AccuFusion model;
+  FusionOptions opts;
+  PriorSet priors;
+  const std::vector<ItemId> conflicting = data.db.ConflictingItems();
+  for (std::size_t k = 0; k < conflicting.size(); k += 40) {
+    ASSERT_TRUE(priors.SetExact(data.db, conflicting[k], 0).ok());
+  }
+  const FusionResult fusion = model.Fuse(data.db, priors, opts);
+  const ItemGraph graph(data.db);
+
+  StrategyContext ctx;
+  ctx.db = &data.db;
+  ctx.fusion = &fusion;
+  ctx.priors = &priors;
+  ctx.model = &model;
+  ctx.fusion_opts = &opts;
+  ctx.graph = &graph;
+  const std::vector<ItemId> candidates = CandidateItems(ctx);
+  ASSERT_GT(candidates.size(), 100u);
+  const std::vector<double> reference =
+      ReferenceScores(ctx, candidates, nullptr);
+
+  Counter* updates = MetricsRegistry::Global().GetCounter(
+      "strategy.approx_meu.neighbor_updates");
+  std::uint64_t serial_updates = 0;
+  for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(lanes);
+    CandidateScan scan(lanes);
+    const std::uint64_t before = updates->value();
+    EXPECT_EQ(
+        ApproxMeuStrategy::ScoreCandidates(ctx, candidates, nullptr, &scan),
+        reference);
+    const std::uint64_t counted = updates->value() - before;
+    if (lanes == 1) serial_updates = counted;
+    EXPECT_GT(counted, 0u);
+    EXPECT_EQ(counted, serial_updates);
+  }
 }
 
 }  // namespace

@@ -99,5 +99,34 @@ TEST(ArgMapTest, LastOccurrenceWins) {
   EXPECT_EQ(args->GetString("k"), "2");
 }
 
+TEST(ArgMapTest, RejectUnreadNamesEveryUnreadKey) {
+  const auto args = ParseVec(
+      {"session", "--budget", "5", "--retired", "4", "--bogus-flag", "3"});
+  ASSERT_TRUE(args.ok());
+  ASSERT_TRUE(args->GetInt("budget", 20).ok());
+  const Status status = args->RejectUnread();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--bogus-flag"), std::string::npos)
+      << status;
+  EXPECT_NE(status.message().find("--retired"), std::string::npos) << status;
+  EXPECT_NE(status.message().find("session"), std::string::npos) << status;
+  EXPECT_EQ(status.message().find("--budget"), std::string::npos) << status;
+}
+
+TEST(ArgMapTest, EveryLookupCountsAsRead) {
+  // A malformed value is the command's error to report, not an unknown
+  // option, so a failed parse counts as a read too.
+  const auto args = ParseVec({"x", "--s", "a", "--i", "1", "--d", "bad",
+                              "--b", "--h", "v"});
+  ASSERT_TRUE(args.ok());
+  EXPECT_EQ(args->GetString("s"), "a");
+  ASSERT_TRUE(args->GetInt("i", 0).ok());
+  EXPECT_FALSE(args->GetDouble("d", 0.0).ok());
+  EXPECT_TRUE(args->GetBool("b"));
+  EXPECT_FALSE(args->RejectUnread().ok());  // --h not read yet.
+  EXPECT_TRUE(args->Has("h"));
+  EXPECT_TRUE(args->RejectUnread().ok());
+}
+
 }  // namespace
 }  // namespace veritas

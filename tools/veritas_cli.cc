@@ -14,7 +14,8 @@
 //   canonicalize --data obs.csv [--tolerance 10] --out canonical.csv
 //
 // All observation files are CSV triples `source,item,value`; truth files
-// are CSV pairs `item,value` (see data/loader.h).
+// are CSV pairs `item,value` (see data/loader.h). An option the command does
+// not read is an error (exit 1), not silently ignored.
 #include <csignal>
 #include <cstdio>
 #include <iostream>
@@ -65,7 +66,6 @@ void PrintUsage() {
       "               [--strategy approx_meu] [--budget 20]\n"
       "               [--oracle perfect] [--batch 1] [--seed 42]\n"
       "               [--model accu] [--threads 1] [--no-delta]\n"
-      "               [--shards 1]\n"
       "               [--flaky <p|plan>] [--retries 3]\n"
       "               [--checkpoint ckpt] [--checkpoint-every 1]\n"
       "               [--resume ckpt] [--deadline-ms N]\n"
@@ -101,6 +101,8 @@ Result<GroundTruth> RequireTruth(const ArgMap& args, const Database& db) {
 
 Status RunStats(const ArgMap& args) {
   VERITAS_ASSIGN_OR_RETURN(Database db, RequireData(args));
+  const bool with_truth = args.Has("truth");
+  VERITAS_RETURN_IF_ERROR(args.RejectUnread());
   const DatasetStats stats = ComputeStats(db);
   TextTable table({"metric", "value"});
   table.AddRow({"items", std::to_string(stats.items)});
@@ -113,7 +115,7 @@ Status RunStats(const ArgMap& args) {
   table.AddRow({"avg votes/item", Num(stats.avg_votes_per_item, 2)});
   table.AddRow({"sources covering <4% of items",
                 Pct(CoverageBelow(db, 0.04) * 100.0)});
-  if (args.Has("truth")) {
+  if (with_truth) {
     VERITAS_ASSIGN_OR_RETURN(
         TruthLoadReport report,
         LoadGroundTruth(args.GetString("truth"), db));
@@ -138,6 +140,8 @@ Status RunFuse(const ArgMap& args) {
   VERITAS_ASSIGN_OR_RETURN(auto model,
                            MakeFusionModel(args.GetString("model", "accu")));
   VERITAS_ASSIGN_OR_RETURN(long iterations, args.GetInt("iterations", 100));
+  const std::string out = args.GetString("out");
+  VERITAS_RETURN_IF_ERROR(args.RejectUnread());
   FusionOptions opts;
   opts.max_iterations = static_cast<std::size_t>(iterations);
   const FusionResult result = model->Fuse(db, PriorSet(), opts);
@@ -152,7 +156,6 @@ Status RunFuse(const ArgMap& args) {
                       k == winner ? "1" : "0"});
     }
   }
-  const std::string out = args.GetString("out");
   if (out.empty()) {
     for (const CsvRow& row : rows) std::cout << FormatCsvRow(row) << "\n";
   } else {
@@ -171,6 +174,11 @@ Status RunRank(const ArgMap& args) {
   const std::string strategy_name = args.GetString("strategy", "qbc");
   VERITAS_ASSIGN_OR_RETURN(auto strategy, MakeStrategy(strategy_name));
   VERITAS_ASSIGN_OR_RETURN(long top, args.GetInt("top", 10));
+  GroundTruth truth(db);
+  if (args.Has("truth")) {
+    VERITAS_ASSIGN_OR_RETURN(truth, RequireTruth(args, db));
+  }
+  VERITAS_RETURN_IF_ERROR(args.RejectUnread());
 
   AccuFusion model;
   FusionOptions opts;
@@ -178,10 +186,6 @@ Status RunRank(const ArgMap& args) {
   const FusionResult fusion = model.Fuse(db, priors, opts);
   const ItemGraph graph(db);
   Rng rng(42);
-  GroundTruth truth(db);
-  if (args.Has("truth")) {
-    VERITAS_ASSIGN_OR_RETURN(truth, RequireTruth(args, db));
-  }
 
   StrategyContext ctx;
   ctx.db = &db;
@@ -272,13 +276,6 @@ Status RunSession(const ArgMap& args) {
   // full path; with the flag absent, models with local-update structure use
   // the incremental DeltaFusionEngine.
   options.fusion.use_delta_fusion = !args.GetBool("no-delta");
-  // --shards > 1 routes the MEU-family candidate scans through the
-  // two-stage sharded protocol (DESIGN.md §5h); 1 is the classic flat scan.
-  VERITAS_ASSIGN_OR_RETURN(long shards, args.GetInt("shards", 1));
-  if (shards < 1) {
-    return Status::InvalidArgument("--shards must be >= 1");
-  }
-  options.fusion.shards = static_cast<std::size_t>(shards);
   options.max_validations = static_cast<std::size_t>(budget);
   options.batch_size = static_cast<std::size_t>(batch);
   options.checkpoint_path = args.GetString("checkpoint");
@@ -288,6 +285,8 @@ Status RunSession(const ArgMap& args) {
     return Status::InvalidArgument("--checkpoint-every must be >= 1");
   }
   options.checkpoint_every_rounds = static_cast<std::size_t>(every);
+  const std::string steps_out = args.GetString("steps-out");
+  VERITAS_RETURN_IF_ERROR(args.RejectUnread());
 
   // Wall-clock budget and Ctrl-C support. Both stop paths surface as
   // DeadlineExceeded, which main() maps to exit code 3 (distinct from hard
@@ -329,7 +328,6 @@ Status RunSession(const ArgMap& args) {
   std::cout << "initial: distance=" << Num(trace.initial_distance, 4)
             << " uncertainty=" << Num(trace.initial_uncertainty, 3) << "\n";
   table.Print(std::cout);
-  const std::string steps_out = args.GetString("steps-out");
   if (!steps_out.empty()) {
     VERITAS_RETURN_IF_ERROR(WriteTraceCsv(trace, db, steps_out));
     std::cout << "wrote per-step trace to " << steps_out << "\n";
@@ -375,6 +373,8 @@ Status RunGenerate(const ArgMap& args) {
   VERITAS_ASSIGN_OR_RETURN(double copiers, args.GetDouble("copiers", 0.0));
   VERITAS_ASSIGN_OR_RETURN(long seed, args.GetInt("seed", 42));
   const std::string shape = args.GetString("shape", "dense");
+  const std::string truth_out = args.GetString("truth-out");
+  VERITAS_RETURN_IF_ERROR(args.RejectUnread());
 
   SyntheticDataset data;
   if (shape == "dense") {
@@ -398,7 +398,6 @@ Status RunGenerate(const ArgMap& args) {
   VERITAS_RETURN_IF_ERROR(SaveObservations(data.db, out));
   std::cout << "wrote " << data.db.num_observations() << " observations to "
             << out << "\n";
-  const std::string truth_out = args.GetString("truth-out");
   if (!truth_out.empty()) {
     VERITAS_RETURN_IF_ERROR(SaveGroundTruth(data.db, data.truth, truth_out));
     std::cout << "wrote " << data.truth.num_known() << " truths to "
@@ -416,6 +415,7 @@ Status RunCanonicalize(const ArgMap& args) {
   CanonicalizeOptions options;
   VERITAS_ASSIGN_OR_RETURN(options.numeric_tolerance,
                            args.GetDouble("tolerance", 10.0));
+  VERITAS_RETURN_IF_ERROR(args.RejectUnread());
   VERITAS_ASSIGN_OR_RETURN(CanonicalizeReport report,
                            CanonicalizeValues(db, options));
   VERITAS_RETURN_IF_ERROR(SaveObservations(report.db, out));

@@ -21,6 +21,7 @@
 //                  [--deadline-ms N]
 //                  [--json BENCH_fusion.json]   merge a replay_ingest record
 //                  [--metrics-out metrics.json]
+// An option the tool does not read is an error (exit 1).
 #include <algorithm>
 #include <csignal>
 #include <iostream>
@@ -127,6 +128,9 @@ Status RunReplay(const ArgMap& args) {
     }
     options.deadline = Deadline::AfterMillis(deadline_ms);
   }
+  const std::string metrics_out = args.GetString("metrics-out");
+  const std::string json_out = args.GetString("json");
+  VERITAS_RETURN_IF_ERROR(args.RejectUnread());
 
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
@@ -144,7 +148,8 @@ Status RunReplay(const ArgMap& args) {
   // drain the rest so the replay covers the whole dataset. No fusion runs
   // behind the drain (the staleness histogram measures only interleaved
   // ticks), so the leftover feed batches go in as one append: one view
-  // rebuild instead of one per feed batch.
+  // rebuild instead of one per feed batch. Their truth rows are applied
+  // after it, when every item they name has arrived.
   IngestBatch rest;
   IngestBatch drained;
   std::size_t drained_batches = 0;
@@ -153,9 +158,16 @@ Status RunReplay(const ArgMap& args) {
         drained.observations.end(),
         std::make_move_iterator(rest.observations.begin()),
         std::make_move_iterator(rest.observations.end()));
+    drained.truths.insert(drained.truths.end(),
+                          std::make_move_iterator(rest.truths.begin()),
+                          std::make_move_iterator(rest.truths.end()));
     ++drained_batches;
   }
   VERITAS_RETURN_IF_ERROR(stream.AppendBatch(drained).status());
+  std::size_t truths_drained = 0;
+  for (const StreamTruth& t : drained.truths) {
+    if (truth.SetByValue(stream.db(), t.item, t.value).ok()) ++truths_drained;
+  }
   const double run_seconds = run_timer.ElapsedSeconds();
   const IngestStats& totals = stream.totals();
 
@@ -186,6 +198,7 @@ Status RunReplay(const ArgMap& args) {
   table.AddRow({"truths applied", std::to_string(trace.truths_applied)});
   table.AddRow({"truths still deferred",
                 std::to_string(trace.truths_deferred)});
+  table.AddRow({"truths drained", std::to_string(truths_drained)});
   table.AddRow({"final epoch", std::to_string(stream.epoch())});
   table.AddRow({"items validated",
                 std::to_string(trace.steps.empty()
@@ -198,20 +211,21 @@ Status RunReplay(const ArgMap& args) {
   table.AddRow({"fusion staleness max", Secs(stale_max)});
   table.AddRow({"stale-view violations", std::to_string(stale_violations)});
   table.Print(std::cout);
+  const double distance_reduction =
+      trace.steps.empty()
+          ? 0.0
+          : trace.DistanceReductionPercent(trace.steps.size() - 1);
   if (!trace.steps.empty()) {
-    std::cout << "final distance reduction: "
-              << Pct(trace.DistanceReductionPercent(trace.steps.size() - 1))
+    std::cout << "final distance reduction: " << Pct(distance_reduction)
               << "\n";
   }
 
-  const std::string metrics_out = args.GetString("metrics-out");
   if (!metrics_out.empty()) {
     VERITAS_RETURN_IF_ERROR(
         MetricsRegistry::Global().WriteJsonFile(metrics_out));
     std::cout << "wrote metrics snapshot to " << metrics_out << "\n";
   }
 
-  const std::string json_out = args.GetString("json");
   if (!json_out.empty()) {
     BenchJsonFile doc("veritas-bench-fusion-v1");
     BenchJsonRecord& rec = doc.Add("replay_ingest");
@@ -223,6 +237,10 @@ Status RunReplay(const ArgMap& args) {
         .Set("ingest_batches", trace.ingest_batches + drained_batches)
         .Set("observations_ingested", totals.fresh)
         .Set("revisions", totals.revisions)
+        .Set("truths_applied", trace.truths_applied)
+        .Set("truths_deferred", trace.truths_deferred)
+        .Set("truths_drained", truths_drained)
+        .Set("distance_reduction_pct", distance_reduction)
         .Set("final_epoch", static_cast<std::size_t>(stream.epoch()))
         .Set("run_seconds", run_seconds)
         .Set("ingest_obs_per_second", ingest_rate)
